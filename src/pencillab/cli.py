@@ -13,6 +13,7 @@ import csv
 import io as _io
 import os
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -93,18 +94,20 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
     feasible, violations = commuting_feasible(structure)
     report["commuting_feasible"] = {"feasible": feasible, "violations": violations}
     if p.is_square:
-        verdict = is_singular(p, tol)
+        commuting = check_commuting(p.a, p.b, tol)
+        conditions = condition_matrix(p.a, p.b, tol) if commuting else None
+        verdict = is_singular(p, tol) if conditions is None else conditions.singularity
         report["singular"] = {
             "verdict": bool(verdict),
             "rank_verdict": verdict.rank_verdict,
             "det_verdict": verdict.det_verdict,
             "normal_rank": verdict.normal_rank,
+            # null when every singular value is exactly zero (unbounded margin)
+            "rank_margin": verdict.rank_margin if np.isfinite(verdict.rank_margin) else None,
             "max_det_ratio": verdict.max_det_ratio,
         }
-        commuting = check_commuting(p.a, p.b, tol)
         report["coefficients_commute"] = commuting
-        if commuting:
-            conditions = condition_matrix(p.a, p.b, tol)
+        if conditions is not None:
             report["condition_matrix"] = {
                 "0_zero_in_taylor": conditions.zero_in_taylor,
                 "i_pencil_singular": conditions.pencil_singular,
@@ -223,6 +226,11 @@ _CHECKS = {
 }
 
 
+def campaign_rng(seed: int, name: str, index: int) -> np.random.Generator:
+    """Generator for one campaign instance; CRC-32, unlike ``hash``, is not salted per process."""
+    return np.random.default_rng((seed, zlib.crc32(name.encode()) & 0xFFFF, index))
+
+
 def run_campaign(generator: str, count: int, tol: ToleranceConfig,
                  failure_dir: str) -> dict:
     names = list(_CHECKS) if generator == "all" else [generator]
@@ -232,7 +240,7 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
         check = _CHECKS[name]
         stats = {"passed": 0, "failed": 0, "unstable": 0}
         for index in range(count):
-            rng = np.random.default_rng((tol.rng_seed, hash(name) & 0xFFFF, index))
+            rng = campaign_rng(tol.rng_seed, name, index)
             try:
                 outcome = check(rng, tol, index)
             except (RankDecisionUnstable, InconsistentSingularityEvidence) as exc:
@@ -278,7 +286,7 @@ def replay_artifact(path: str, tol_override: ToleranceConfig | None = None) -> d
     )
     name = artifact["check"]
     index = artifact["index"]
-    rng = np.random.default_rng((artifact["seed"], hash(name) & 0xFFFF, index))
+    rng = campaign_rng(artifact["seed"], name, index)
     outcome = _CHECKS[name](rng, tol, index)
     return {"check": name, "index": index, "ok": outcome["ok"], "detail": outcome["detail"]}
 

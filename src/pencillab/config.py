@@ -15,10 +15,17 @@ class ToleranceConfig:
     """Thresholds used by rank and spectrum decisions.
 
     rank_rel_tol
-        Relative cutoff for numerical rank: singular values below
-        ``rank_rel_tol * sigma_1 * max(rows, cols)`` count as zero.
+        Cutoff for numerical rank: singular values at or below
+        ``rank_rel_tol * max(sigma_1, scale) * max(rows, cols)`` count as
+        zero, where ``scale`` anchors the cutoff to an ambient magnitude
+        (0 for a purely relative cutoff; |A| + |lam| |B| at a node
+        lam of a pencil sweep).  A singular value within a factor 10 of
+        the cutoff makes the decision untrustworthy.
     det_zero_tol
-        Relative cutoff below which a sampled determinant counts as zero.
+        Cutoff for a vanishing determinant at a sweep node lam: the
+        determinant counts as zero when the smallest LU pivot of
+        A + lam B is below ``det_zero_tol * max(largest pivot,
+        |A| + |lam| |B|)``.
     eig_cluster_tol
         Radius used when clustering eigenvalues into multiplicities.
     sample_count

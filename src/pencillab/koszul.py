@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import SingularityEvidence, is_singular
-from .linalg import anchored_rank, eigenvalues, numerical_rank, rank_threshold, svd
+from .linalg import eigenvalues, numerical_rank, rank_decision, svd
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -63,8 +63,8 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
     sa = a - complex(z1) * np.eye(n)
     sb = b - complex(z2) * np.eye(n)
     scale = _pair_scale(a, b, z1, z2)
-    rank_d1 = anchored_rank(np.vstack([sa, sb]), scale, tol)
-    rank_d2 = anchored_rank(np.hstack([-sb, sa]), scale, tol)
+    rank_d1 = numerical_rank(np.vstack([sa, sb]), tol, scale=scale)
+    rank_d2 = numerical_rank(np.hstack([-sb, sa]), tol, scale=scale)
     return KoszulAssessment(
         point=(complex(z1), complex(z2)),
         rank_d1=rank_d1,
@@ -111,12 +111,7 @@ def _common_eigenvector(a, b, z1, z2, tol: ToleranceConfig):
     n = a.shape[0]
     stacked = np.vstack([a - z1 * np.eye(n), b - z2 * np.eye(n)])
     u, s, v = svd(stacked)
-    anchor = max(float(s[0]) if s.size else 0.0, _pair_scale(a, b, z1, z2))
-    if anchor == 0.0:
-        return np.ascontiguousarray(v[:, -1])
-    thr = tol.rank_rel_tol * anchor * max(stacked.shape)
-    rank = int(np.count_nonzero(s > thr))
-    if rank >= n:
+    if rank_decision(s, stacked.shape, _pair_scale(a, b, z1, z2), tol)[0] >= n:
         return None
     return np.ascontiguousarray(v[:, -1])
 
@@ -256,7 +251,7 @@ def spectrum_invertible_characterization(
         ):
             continue
         shifted = a - ratio * b
-        if anchored_rank(shifted, scale * max(1.0, abs(ratio)), tol) >= n:
+        if numerical_rank(shifted, tol, scale=scale * max(1.0, abs(ratio))) >= n:
             continue
         x = _common_eigenvector(a, b, z1, z2, tol)
         points.append((z1, z2))

@@ -24,11 +24,12 @@ from .errors import (
     TransformUnavailable,
 )
 from .linalg import (
-    anchored_rank,
+    RANK_GUARD,
     det_sample_nodes,
     det_zero_sweep,
+    node_stack,
     numerical_rank,
-    rank_threshold,
+    rank_decision,
     singular_values,
 )
 from .pencil import Pencil, as_matrix
@@ -275,30 +276,25 @@ def scramble(p: Pencil, seed: int, max_cond: float = 100.0) -> tuple[Pencil, Equ
 
 
 def _staircase_rank(m: np.ndarray, tol: ToleranceConfig, context: str, scale: float = 0.0) -> int:
-    """Numerical rank with a guard band around the cutoff.
+    """Numerical rank that refuses to guess inside the guard band.
 
     ``scale`` anchors the cutoff to the ambient problem magnitude, so a
     shifted matrix that degenerates to pure rounding noise is still read
-    as rank deficient.  A singular value within a factor 10 of the cutoff
-    means the decision is not trustworthy at this tolerance, which the
-    staircase reports rather than silently guessing.
+    as rank deficient.  A singular value within a factor ``RANK_GUARD`` of
+    the cutoff means the decision is not trustworthy at this tolerance,
+    which the staircase reports rather than silently guessing.
     """
-    if m.size == 0:
-        return 0
     s = singular_values(m)
-    anchor = max(float(s[0]) if s.size else 0.0, scale)
-    if anchor == 0.0:
-        return 0
-    thr = tol.rank_rel_tol * anchor * max(m.shape)
-    in_band = (s >= thr / 10.0) & (s <= thr * 10.0)
-    if np.any(in_band):
-        sigma = float(s[np.argmax(in_band)])
+    rank, thr, margin = rank_decision(s, m.shape, scale, tol)
+    if margin <= RANK_GUARD:
+        sigma = float(s[(s >= thr / RANK_GUARD) & (s <= thr * RANK_GUARD)][0])
         raise RankDecisionUnstable(
-            f"{context}: singular value {sigma:.3e} within a factor 10 of cutoff {thr:.3e}",
+            f"{context}: singular value {sigma:.3e} within a factor {RANK_GUARD:g} "
+            f"of cutoff {thr:.3e}",
             sigma=sigma,
-            threshold=thr,
+            threshold=float(thr),
         )
-    return int(np.count_nonzero(s > thr))
+    return int(rank)
 
 
 def _pencil_sample_nodes(p: Pencil, tol: ToleranceConfig) -> np.ndarray:
@@ -306,28 +302,31 @@ def _pencil_sample_nodes(p: Pencil, tol: ToleranceConfig) -> np.ndarray:
     return det_sample_nodes(p, count)
 
 
-def normal_rank(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Maximum rank of A + lam B over the sample node set."""
-    nodes = _pencil_sample_nodes(p, tol)
-    return max(numerical_rank(p.at(lam), tol) for lam in nodes)
+def normal_rank(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float]:
+    """Normal rank of A + lam B and the rank margin at the node deciding it."""
+    if p.a.size == 0:
+        return 0, float("inf")
+    return _rank_sweep(*node_stack(p, _pencil_sample_nodes(p, tol)), tol)
 
 
-def _normal_rank_checked(p: Pencil, tol: ToleranceConfig) -> int:
-    """Normal rank where at least one maximal node must decide cleanly."""
-    nodes = _pencil_sample_nodes(p, tol)
-    base = p.norm_scale()
-    ranks = []
-    errors = []
-    for lam in nodes:
-        try:
-            ranks.append(
-                _staircase_rank(p.at(lam), tol, "normal rank sweep", scale=base * max(1.0, abs(lam)))
-            )
-        except RankDecisionUnstable as exc:
-            errors.append(exc)
-    if not ranks:
-        raise errors[0]
-    return max(ranks)
+def _rank_sweep(stack: np.ndarray, anchors: np.ndarray, tol: ToleranceConfig) -> tuple[int, float]:
+    """Largest clean rank over a :func:`~pencillab.linalg.node_stack`, and its margin.
+
+    One batched SVD serves every node.  Nodes whose margin lies within
+    ``RANK_GUARD`` are skipped; :class:`RankDecisionUnstable` is raised
+    only when no node decides cleanly.
+    """
+    ranks, cutoffs, margins = rank_decision(singular_values(stack), stack.shape[1:], anchors, tol)
+    clean = margins > RANK_GUARD
+    if not clean.any():
+        k = int(np.argmax(margins))
+        raise RankDecisionUnstable(
+            f"normal rank sweep: every node has a singular value within a factor {RANK_GUARD:g} "
+            f"of its cutoff; the best margin is {margins[k]:.3g} at cutoff {cutoffs[k]:.3e}",
+            threshold=float(cutoffs[k]),
+        )
+    r = ranks[clean].max()
+    return int(r), float(margins[clean & (ranks == r)].max())
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +494,7 @@ def _finite_structure_attempt(
     for members in _single_linkage(matched, radius):
         lam = complex(np.mean(members))
         point_scale = base * max(1.0, abs(lam))
-        if anchored_rank(p.at(lam), point_scale, tol) >= r:
+        if numerical_rank(p.at(lam), tol, scale=point_scale) >= r:
             continue
         try:
             sizes = _chain_sizes(
@@ -611,7 +610,7 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     nb = float(np.linalg.norm(p.b))
     rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
     p = Pencil(p.a, rho * p.b)
-    r = _normal_rank_checked(p, tol)
+    r, _ = normal_rank(p, tol)
     s_right = n - r
     s_left = m - r
     col_minimal = _minimal_indices(p, s_right, tol)
@@ -660,6 +659,7 @@ class SingularityEvidence:
     rank_verdict: bool
     det_verdict: bool
     normal_rank: int
+    rank_margin: float  # cutoff-to-nearest-singular-value factor at the deciding node
     dimension: int
     max_det_ratio: float
     node_count: int
@@ -672,19 +672,23 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
     """Decide whether det(A + lam B) vanishes identically.
 
     Two independent decision channels must agree: rank deficiency of
-    A + lam B across the whole node sweep (the staircase's minimal-block
-    witness) and negligibility of every sampled determinant.  Disagreement
-    raises :class:`InconsistentSingularityEvidence` with both verdicts.
+    A + lam B across the whole node sweep (:func:`normal_rank`, the
+    staircase's minimal-block witness) and negligibility of every sampled
+    determinant (LU pivots, :func:`~pencillab.linalg.det_zero_sweep`), both
+    read off one node stack.  Disagreement raises
+    :class:`InconsistentSingularityEvidence`, and a sweep without one clean
+    node raises :class:`RankDecisionUnstable`.
     """
     if not p.is_square:
         raise ValueError(f"singularity is defined for square pencils, got {p.shape}")
     n = p.rows
     if n == 0:
-        return SingularityEvidence(False, False, False, 0, 0, 0.0, 0)
+        return SingularityEvidence(False, False, False, 0, float("inf"), 0, 0.0, 0)
     nodes = _pencil_sample_nodes(p, tol)
-    r = max(numerical_rank(p.at(lam), tol) for lam in nodes)
+    stack, anchors = node_stack(p, nodes)
+    r, margin = _rank_sweep(stack, anchors, tol)
     rank_verdict = r < n
-    det_verdict, worst_ratio = det_zero_sweep(p, nodes, tol)
+    det_verdict, worst_ratio = det_zero_sweep(stack, anchors, tol)
     if rank_verdict != det_verdict:
         raise InconsistentSingularityEvidence(
             f"rank sweep says singular={rank_verdict} but determinant sweep says "
@@ -697,6 +701,7 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
         rank_verdict=rank_verdict,
         det_verdict=det_verdict,
         normal_rank=r,
+        rank_margin=margin,
         dimension=n,
         max_det_ratio=worst_ratio,
         node_count=len(nodes),
@@ -744,8 +749,7 @@ def equivalence_transforms(
         k[n2:, n2 + idx] = -(target.b @ basis).reshape(-1)
         basis[i, j] = 0.0
     _, sig, vh = np.linalg.svd(k)
-    thr = rank_threshold(sig, k.shape, tol)
-    null_dim = int(np.count_nonzero(sig <= thr)) if thr > 0 else 2 * n2
+    null_dim = 2 * n2 - int(rank_decision(sig, k.shape, 0.0, tol)[0])
     if null_dim == 0:
         raise TransformUnavailable("intertwining system has no nullspace; pencils not equivalent")
     null = vh[2 * n2 - null_dim :].conj().T

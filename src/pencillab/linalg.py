@@ -3,13 +3,20 @@
 Factorizations are delegated to LAPACK through numpy (complex SVD;
 eigenvalues via Hessenberg reduction plus shifted QR, which is what
 ``zgeev`` performs).  Everything tolerance-sensitive is parameterized by
-:class:`~pencillab.config.ToleranceConfig` and the helpers here are the
-single place rank/zero decisions get made.
+:class:`~pencillab.config.ToleranceConfig`, and every rank decision in the
+package is made by :func:`rank_decision`: singular values at or below
+``rank_rel_tol * max(sigma_1, scale) * max(rows, cols)`` count as zero,
+where ``scale`` anchors the cutoff to an ambient magnitude (0 for a purely
+relative cutoff).  A singular value within a factor ``RANK_GUARD`` = 10 of
+the cutoff makes the decision untrustworthy; callers that must be sure
+raise or skip on it.  A pencil sweep anchors node lam at |A| + |lam| |B|
+(:func:`node_stack`); determinant-zero decisions compare LU pivots with
+``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import warnings
 
@@ -19,6 +26,10 @@ import scipy.linalg
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DecompositionError, SingularPencil
 from .pencil import Pencil, as_matrix
+
+# A singular value within this factor of its cutoff makes a rank decision
+# untrustworthy: the staircase raises on it and node sweeps skip the node.
+RANK_GUARD = 10.0
 
 # Double roots of an interpolated polynomial split by about sqrt(eps) in
 # floating point; clustering has to bridge that gap even when the user
@@ -80,40 +91,28 @@ def singular_values(m) -> np.ndarray:
         raise DecompositionError(f"SVD did not converge: {exc}", detail=str(exc)) from exc
 
 
-def rank_threshold(sigma: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> float:
-    """Cutoff below which singular values count as zero."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0.0
-    return tol.rank_rel_tol * float(sigma[0]) * max(shape)
+def rank_decision(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig = DEFAULT_TOL):
+    """Numerical rank from singular values: (rank, cutoff, margin).
 
-
-def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative cutoff."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    s = singular_values(m)
-    thr = rank_threshold(s, m.shape, tol)
-    if thr == 0.0:
-        return 0
-    return int(np.count_nonzero(s > thr))
-
-
-def anchored_rank(m, scale: float, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank with the cutoff anchored to an ambient magnitude.
-
-    Useful for shifted matrices that may degenerate to rounding noise, for
-    which the purely relative cutoff would report full rank.
+    The cutoff is ``rank_rel_tol * max(sigma_1, scale) * max(rows, cols)``.
+    ``sigma`` holds the singular values of a matrix of the given shape
+    along its last axis; leading axes index a stack of matrices, against
+    which ``scale`` broadcasts.  The margin is the factor between the
+    cutoff and the nearest singular value, infinite when all are zero.
     """
+    sigma = np.asarray(sigma, dtype=float)
+    cutoff = tol.rank_rel_tol * np.maximum(sigma.max(axis=-1, initial=0.0), scale) * max(shape)
+    cut = cutoff[..., None]
+    closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), np.finfo(float).tiny)
+    with np.errstate(divide="ignore"):
+        margin = 1.0 / closeness.max(axis=-1, initial=0.0)
+    return np.count_nonzero(sigma > cut, axis=-1), cutoff, margin
+
+
+def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0) -> int:
+    """Numerical rank of a matrix, with the cutoff anchored at ``scale``."""
     m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    s = singular_values(m)
-    anchor = max(float(s[0]) if s.size else 0.0, float(scale))
-    if anchor == 0.0:
-        return 0
-    thr = tol.rank_rel_tol * anchor * max(m.shape)
-    return int(np.count_nonzero(s > thr))
+    return int(rank_decision(singular_values(m), m.shape, scale, tol)[0])
 
 
 def null_space(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -122,8 +121,7 @@ def null_space(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, v = svd(m)
-    thr = rank_threshold(s, m.shape, tol)
-    r = int(np.count_nonzero(s > thr)) if thr > 0.0 else 0
+    r = int(rank_decision(s, m.shape, 0.0, tol)[0])
     return np.ascontiguousarray(v[:, r:])
 
 
@@ -204,44 +202,36 @@ def sampled_determinants(p: Pencil, nodes) -> np.ndarray:
     s = p.norm_scale()
     if s == 0.0:
         return np.zeros(len(nodes), dtype=complex)
-    a, b = p.a / s, p.b / s
-    return np.array([np.linalg.det(a + lam * b) for lam in nodes])
+    return np.linalg.det(node_stack(Pencil(p.a / s, p.b / s), nodes)[0])
 
 
-def pivot_collapse_ratio(m) -> float:
-    """Smallest-to-largest LU pivot magnitude ratio.
+def node_stack(p: Pencil, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """A + lam_k B at every node as one stack, and each node's anchor.
 
-    The determinant equals the pivot product up to sign, so a collapsed
-    ratio is the determinant-channel witness that the value is numerically
-    zero; healthy ratios track the conditioning of the matrix instead of
-    its norm, which keeps the test meaningful for spread spectra.
+    The anchor |A| + |lam_k| |B| is the size of the terms summed, so a node
+    on an eigenvalue, where the matrix is rounding noise of that size,
+    reads deficient, while an unbalanced pencil's anchor is not overstated.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] == 0:
-        return 1.0
+    nodes = np.asarray(nodes, dtype=complex)
+    stack = nodes[:, None, None] * p.b
+    stack += p.a
+    return stack, float(np.linalg.norm(p.a)) + np.abs(nodes) * float(np.linalg.norm(p.b))
+
+
+def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
+    """Determinant-channel singularity verdict over a :func:`node_stack`.
+
+    The determinant is the LU pivot product up to sign, so the smallest
+    pivot against max(largest pivot, node anchor) witnesses a zero.
+    Returns (every ratio below ``det_zero_tol``, largest ratio).
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    top = float(diag.max())
-    if top == 0.0:
-        return 0.0
-    return float(diag.min() / top)
-
-
-def det_zero_sweep(p: Pencil, nodes, tol: ToleranceConfig) -> tuple[bool, float]:
-    """Determinant-channel singularity verdict over a node sweep.
-
-    Returns (all determinants negligible, largest pivot ratio observed).
-    """
-    worst = 0.0
-    all_zero = True
-    for lam in nodes:
-        ratio = pivot_collapse_ratio(p.at(lam))
-        worst = max(worst, ratio)
-        if ratio >= tol.det_zero_tol:
-            all_zero = False
-    return all_zero, worst
+        lu, _ = scipy.linalg.lu_factor(stack, check_finite=False)
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    top = np.maximum(pivots.max(axis=-1), anchors)
+    ratios = pivots.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
+    return bool(np.all(ratios < tol.det_zero_tol)), float(ratios.max())
 
 
 def pencil_determinant_coefficients(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -274,15 +264,12 @@ def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Spectru
     n = p.rows
     if n == 0:
         return SpectrumList((), ())
-    nodes = det_sample_nodes(p, n + 1)
-    all_zero, _ = det_zero_sweep(p, nodes, tol)
+    all_zero, _ = det_zero_sweep(*node_stack(p, det_sample_nodes(p, n + 1)), tol)
     if all_zero:
         raise SingularPencil(
             "all sampled determinants are negligible; the pencil appears singular"
         )
-    dets = sampled_determinants(p, nodes)
-    radius = abs(nodes[0])
-    coeffs = np.fft.fft(dets) / (n + 1) / radius ** np.arange(n + 1)
+    coeffs = pencil_determinant_coefficients(p, tol)
     mx = float(np.max(np.abs(coeffs)))
     degree = n
     while degree > 0 and abs(coeffs[degree]) < tol.det_zero_tol * mx:

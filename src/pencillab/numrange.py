@@ -17,8 +17,6 @@ from scipy.optimize import least_squares, minimize, minimize_scalar
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, RankDecisionUnstable, TransformUnavailable
 from .kronecker import (
-    KroneckerStructure,
-    assemble,
     build_block,
     direct_sum,
     equivalence_transforms,
@@ -245,7 +243,7 @@ def _constructive_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCerti
     x_mat = np.linalg.inv(t) @ s.conj().T
     rows = range(eps1 + 1, eps1 + del1 + 1)
     cols = range(eps1, eps1 + del1 + 1)
-    constraints = np.conj(x_mat[np.ix_(list(rows), list(cols))])
+    constraints = x_mat[np.ix_(list(rows), list(cols))]
     v_basis = null_space(constraints, tol)
     if v_basis.shape[1] == 0:
         return None

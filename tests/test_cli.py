@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from pencillab.cli import main
+
+from conftest import REPO
 
 
 def run_cli(argv, capsys):
@@ -20,6 +25,8 @@ class TestAnalyze:
         )
         assert code == 0
         report = json.loads(out)
+        assert report["singular"]["verdict"] is False
+        assert report["singular"]["rank_margin"] > 10
         cm = report["condition_matrix"]
         assert cm["0_zero_in_taylor"] is False
         assert cm["i_pencil_singular"] is False
@@ -62,6 +69,20 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(bad)], capsys)
         assert code == 1
         assert "expected 1 entries" in err
+
+    def test_guard_band_pencil_exit_one(self, tmp_path, capsys):
+        # A = diag(1, 1e-9), B = 0: every sweep node's rank lies inside the
+        # guard band, which is an ordinary error, not a violated property
+        band = tmp_path / "band.json"
+        entries = [[1, 0], [0, 0], [0, 0], [1e-9, 0]]
+        band.write_text(json.dumps({
+            "a": {"rows": 2, "cols": 2, "entries": entries},
+            "b": {"rows": 2, "cols": 2, "entries": [[0, 0]] * 4},
+        }), encoding="utf-8")
+        code, out, err = run_cli(["analyze", str(band)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "within a factor 10" in err
 
     def test_syntax_error_positions(self, tmp_path, capsys):
         bad = tmp_path / "syntax.json"
@@ -134,6 +155,29 @@ class TestCampaign:
         assert code == 0
         summary = json.loads(out)
         assert summary["results"]["necessity"] == {"passed": 0, "failed": 0, "unstable": 0}
+
+    def test_instances_independent_of_hash_seed(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "from pencillab import ToleranceConfig, cli\n"
+            "draws = []\n"
+            "def record(rng, tol, index):\n"
+            "    draws.append(int(rng.integers(2**62)))\n"
+            "    return {'ok': True, 'pencil': None, 'detail': {}}\n"
+            "cli._CHECKS['dopico'] = record\n"
+            "cli.run_campaign('dopico', 3, ToleranceConfig(), sys.argv[1])\n"
+            "print(json.dumps(draws))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            draws.append(json.loads(proc.stdout))
+        assert len(draws[0]) == 3 and draws[0] == draws[1]
 
 
 class TestShiftExperiment:

@@ -147,6 +147,33 @@ class TestSingularity:
         s = pl.KroneckerStructure(row_minimal=[(1, 1)], col_minimal=[(1, 1)])
         assert bool(pl.is_singular(pl.assemble(s)))
 
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([1.0, 1e-8]), np.zeros((2, 2))),
+        (np.diag([1.0, 1e-6]), 1e-4 * np.diag([1.0, 1e-6])),
+    ])
+    def test_unbalanced_regular(self, tol, a, b):
+        # the node radius |A|/|B| is clipped to 1e3, so anchoring a node at
+        # max(|A|, |B|) max(1, |lam|) would overstate |A + lam B| a thousandfold
+        verdict = pl.is_singular(pl.Pencil(a, b), tol)
+        assert not verdict and verdict.normal_rank == 2 and verdict.rank_margin > 10
+
+    def test_every_node_in_guard_band(self, tol):
+        # sigma_2 = 1e-9 sits a factor 5 above the cutoff 2e-10 at every node
+        with pytest.raises(pl.RankDecisionUnstable):
+            pl.is_singular(pl.Pencil(np.diag([1.0, 1e-9]), np.zeros((2, 2))), tol)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_node_on_eigenvalue(self, tol, seed):
+        # A = cB here, so the node circle has radius |c| and one node lands
+        # on the eigenvalue, where A + lam B is pure rounding noise
+        s = pl.KroneckerStructure(
+            col_minimal=[(0, 1)], row_minimal=[(0, 1)], jordan=[(1, -1.4 - 1.4j)] * 3
+        )
+        p, _ = pl.scramble(pl.assemble(s), seed, max_cond=100.0)
+        verdict = pl.is_singular(p, tol)
+        assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+        assert verdict.normal_rank == 3 and verdict.rank_margin > 10
+
     def test_singular_iff_minimal_blocks(self, tol):
         from pencillab.generators import random_structure
 
@@ -162,15 +189,15 @@ class TestSingularity:
 
 class TestNormalRank:
     def test_identity(self):
-        assert pl.normal_rank(pl.Pencil(np.eye(3), np.zeros((3, 3)))) == 3
+        assert pl.normal_rank(pl.Pencil(np.eye(3), np.zeros((3, 3))))[0] == 3
 
     def test_zero(self):
-        assert pl.normal_rank(pl.Pencil(np.zeros((2, 2)), np.zeros((2, 2)))) == 0
+        assert pl.normal_rank(pl.Pencil(np.zeros((2, 2)), np.zeros((2, 2))))[0] == 0
 
     def test_l1_pair(self):
         s = pl.KroneckerStructure(col_minimal=[(1, 1)], row_minimal=[(1, 1)])
         p = pl.assemble(s)
-        assert pl.normal_rank(p) == 2
+        assert pl.normal_rank(p)[0] == 2
         # brute force over a lambda grid agrees
         brute = max(
             pl.numerical_rank(p.at(lam))
@@ -181,7 +208,7 @@ class TestNormalRank:
     def test_square_deficiency_matches_singularity(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         p = pl.assemble(s)
-        assert pl.normal_rank(p) < p.rows
+        assert pl.normal_rank(p)[0] < p.rows
 
 
 class TestEquivalenceTransforms:

@@ -66,6 +66,32 @@ class TestRankAndKernel:
             q2, _ = np.linalg.qr(complex_matrix(rng, n, n))
             assert pl.numerical_rank(m) == pl.numerical_rank(q1 @ m @ q2)
 
+    def test_rounding_noise_reads_rank_zero_when_anchored(self, rng):
+        noise = 1e-17 * complex_matrix(rng, 5, 5)
+        assert pl.numerical_rank(noise) == 5
+        assert pl.numerical_rank(noise, scale=1.0) == 0
+
+    def test_rank_decision_on_a_stack(self, rng):
+        from pencillab.linalg import rank_decision
+
+        stack = np.stack([
+            complex_matrix(rng, 4, 4),
+            np.outer(complex_matrix(rng, 4, 1), complex_matrix(rng, 1, 4)),
+            1e-17 * complex_matrix(rng, 4, 4),
+            np.zeros((4, 4)),
+        ])
+        scales = np.array([0.0, 1.0, 1.0, 0.0])
+        ranks, cutoffs, margins = rank_decision(
+            np.linalg.svd(stack, compute_uv=False), (4, 4), scales
+        )
+        assert list(ranks) == [4, 1, 0, 0]
+        for m, scale, rank, cutoff, margin in zip(stack, scales, ranks, cutoffs, margins):
+            assert (rank, cutoff, margin) == rank_decision(
+                np.linalg.svd(m, compute_uv=False), (4, 4), scale
+            )
+            assert rank == pl.numerical_rank(m, scale=scale)
+        assert np.all(margins[:3] > 10) and margins[3] == np.inf
+
     def test_null_space_identity(self):
         assert pl.null_space(np.eye(3)).shape == (3, 0)
 
@@ -153,6 +179,12 @@ class TestPencilEigenvalues:
     def test_all_infinite(self):
         p = pl.Pencil(np.eye(2), np.zeros((2, 2)))
         spec = pl.pencil_eigenvalues(p)
+        assert spec.values == ()
+        assert spec.infinite == 2
+
+    def test_all_infinite_unbalanced(self):
+        # |B| = 0 clips the node radius to 1e3; the anchor must not scale with it
+        spec = pl.pencil_eigenvalues(pl.Pencil(np.diag([1.0, 1e-7]), np.zeros((2, 2))))
         assert spec.values == ()
         assert spec.infinite == 2
 

@@ -74,6 +74,27 @@ class TestIsotropicFromSingular:
         with pytest.raises(pl.NotSingular):
             pl.isotropic_from_singular(p)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_node_on_eigenvalue(self, tol, seed):
+        s = pl.KroneckerStructure(
+            col_minimal=[(0, 1)], row_minimal=[(0, 1)], jordan=[(1, -1.4 - 1.4j)] * 3
+        )
+        p, _ = pl.scramble(pl.assemble(s), seed, max_cond=100.0)
+        assert pl.isotropic_from_singular(p, tol).is_valid(p.a, p.b)
+
+    def test_constructive_path_without_common_kernel(self, tol):
+        rng = np.random.default_rng(60)
+        checked = 0
+        for _ in range(60):
+            p, _ = random_singular_pencil(rng, max_size=10)
+            if pl.null_space(np.vstack([p.a, p.b]), tol).shape[1]:
+                continue
+            cert = pl.isotropic_from_singular(p, tol)
+            assert cert.method == "kronecker-constructive"
+            assert cert.is_valid(p.a, p.b)
+            checked += 1
+        assert checked == 30
+
     def test_chain_on_corpus(self, rng, tol):
         for i in range(15):
             p, _ = random_singular_pencil(rng, max_size=9)
