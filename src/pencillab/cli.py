@@ -409,7 +409,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-det", type=float, default=1e-9,
                         help="determinant-zero cutoff (default 1e-9)")
     parser.add_argument("--tol-cluster", type=float, default=1e-8,
-                        help="eigenvalue clustering radius (default 1e-8)")
+                        help="eigenvalue comparison tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")

@@ -1,8 +1,9 @@
 """Numerical tolerance settings.
 
-Every rank, singularity and clustering decision in the package is made
-against thresholds collected in one immutable :class:`ToleranceConfig`
-value, so that reports can state exactly which cutoffs produced them.
+Every rank, singularity and spectrum-comparison decision in the package
+is made against thresholds collected in one immutable
+:class:`ToleranceConfig` value, so that reports can state exactly which
+cutoffs produced them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ class ToleranceConfig:
         A + lam B is below ``det_zero_tol * max(largest pivot,
         |A| + |lam| |B|)``.
     eig_cluster_tol
-        Radius used when clustering eigenvalues into multiplicities.
+        Relative tolerance for comparing two given spectrum points
+        (``structures_match`` and the ratio description allow 100 times
+        it).  It sets no clustering radius: eigenvalue clusters come from
+        each eigenvalue's own perturbation disc.
     sample_count
         Number of sample nodes for determinant/rank sweeps over the
         pencil parameter; raised internally to ``2 * max(rows) + 2``

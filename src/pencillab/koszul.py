@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import SingularityEvidence, is_singular
-from .linalg import eigenvalues, numerical_rank, rank_decision, svd
+from .linalg import eigenvalues, numerical_rank, pencil_eigenvalues, rank_decision, svd
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -98,9 +98,9 @@ def _pair_scale(a, b, z1: complex = 0.0, z2: complex = 0.0) -> float:
     )
 
 
-def _candidate_grid(a, b, tol: ToleranceConfig) -> list[tuple[complex, complex]]:
-    sa = eigenvalues(a, tol)
-    sb = eigenvalues(b, tol)
+def _candidate_grid(a, b) -> list[tuple[complex, complex]]:
+    sa = eigenvalues(a)
+    sb = eigenvalues(b)
     grid = [(z1, z2) for z1 in sa.values for z2 in sb.values]
     grid.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
     return grid
@@ -127,7 +127,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     points = []
     witnesses = []
     residuals = []
-    for z1, z2 in _candidate_grid(a, b, tol):
+    for z1, z2 in _candidate_grid(a, b):
         x = _common_eigenvector(a, b, z1, z2, tol)
         if x is None:
             continue
@@ -146,7 +146,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
 def spectra_match(
     points1, points2, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[bool, list]:
-    """Greedy point-set comparison within the cluster tolerance.
+    """Greedy point-set comparison within ``eig_cluster_tol``.
 
     Returns (equal, mismatches) where mismatches lists points present on
     one side only.
@@ -184,7 +184,7 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     points = []
     witnesses = []
     residuals = []
-    for z1, z2 in _candidate_grid(a, b, tol):
+    for z1, z2 in _candidate_grid(a, b):
         shifted = Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n))
         verdict = is_singular(shifted, tol)
         member = direct.contains(z1, z2, tol)
@@ -213,42 +213,27 @@ def spectrum_invertible_characterization(
     """Spectrum of an invertible commuting pair by eigenvalue ratios.
 
     Keeps the candidate (z1, z2) when z1/z2 matches a spectrum point of
-    the pencil A - lam B.  Only valid for invertible A and B, where the
+    the pencil A - lam B within ``100 * eig_cluster_tol`` relative, the
+    rule :func:`~pencillab.kronecker.structures_match` uses, and the rank
+    of A - (z1/z2) B drops.  Only valid for invertible A and B, where the
     candidate second coordinate can never vanish.
     """
-    from .linalg import pencil_eigenvalues
-
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
-    # Two charts of the same spectrum: roots far outside one sampling
-    # circle are recovered accurately as reciprocals on the other.
-    ratio_spectrum = pencil_eigenvalues(Pencil(a, -b), tol)
-    inverse_spectrum = pencil_eigenvalues(Pencil(b, -a), tol)
+    ratios = pencil_eigenvalues(Pencil(a, -b), tol).values
+    radius = 100 * tol.eig_cluster_tol
     scale = _pair_scale(a, b)
-    # An m-fold root of the interpolated determinant splits into a ring of
-    # radius up to eps**(1/m), so the root lists only screen candidates at
-    # a multiplicity-aware radius; membership is confirmed by the rank
-    # drop at the exact ratio.
-    screen_radius = max(5e-2, 3.0 * (1e-13) ** (1.0 / max(n, 1)))
-
-    def near(value, roots):
-        return any(
-            abs(value - lam) <= screen_radius * max(1.0, abs(value), abs(lam))
-            for lam in roots
-        )
 
     points = []
     witnesses = []
     residuals = []
-    for z1, z2 in _candidate_grid(a, b, tol):
+    for z1, z2 in _candidate_grid(a, b):
         if abs(z2) <= tol.eig_cluster_tol or abs(z1) <= tol.eig_cluster_tol:
             raise NotInvertible("candidate on a coordinate axis contradicts invertibility")
         ratio = z1 / z2
-        if not near(ratio, ratio_spectrum.values) and not near(
-            z2 / z1, inverse_spectrum.values
-        ):
+        if not any(abs(ratio - lam) <= radius * max(1.0, abs(lam)) for lam in ratios):
             continue
         shifted = a - ratio * b
         if numerical_rank(shifted, tol, scale=scale * max(1.0, abs(ratio))) >= n:
@@ -323,7 +308,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL,
 
     certificate = None
     if cond_i:
-        certificate = numrange.isotropic_from_singular(p, tol)
+        certificate = numrange._singular_certificate(p, tol)
     else:
         certificate = numrange.isotropic_search(a, b, tol, restarts=search_restarts)
     cond_ii = certificate is not None and certificate.is_valid(a, b)

@@ -4,7 +4,8 @@ Block builders, assembly of canonical pencils, random equivalence
 scrambling, and the staircase recovery of the invariants: minimal indices
 through nullities of block-Toeplitz resultant matrices, regular structure
 through chain (Weyr-type) rank sequences at infinity and at the finite
-eigenvalues that QZ finds on two random rank-completing projections.
+eigenvalue clusters (:func:`~pencillab.linalg.disc_clusters`) that two
+random rank-completing projections share.
 The staircase recovers structure only; equivalence transforms, when
 needed, are found separately by :func:`equivalence_transforms`.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
@@ -27,6 +27,8 @@ from .linalg import (
     RANK_GUARD,
     det_sample_nodes,
     det_zero_sweep,
+    disc_clusters,
+    eigenvalue_discs,
     node_stack,
     numerical_rank,
     rank_decision,
@@ -199,7 +201,7 @@ def assemble(structure: KroneckerStructure) -> Pencil:
 def structures_match(
     s1: KroneckerStructure, s2: KroneckerStructure, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """Structure equality with eigenvalue comparison up to the cluster tolerance."""
+    """Structure equality with eigenvalues compared within 100 ``eig_cluster_tol`` relative."""
     if s1.col_minimal != s2.col_minimal or s1.row_minimal != s2.row_minimal:
         return False
     if s1.nilpotent != s2.nilpotent:
@@ -441,115 +443,6 @@ def _chain_sizes(
     return sizes
 
 
-# QZ still splits an eigenvalue with an m x m Jordan block into a ring of
-# radius about eps**(1/m); the cluster radius escalates until the recovered
-# sizes tile the regular part.
-_EIG_CLUSTER_LADDER = (3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1)
-
-
-def _projected_eigenvalues(
-    p: Pencil, r: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite QZ eigenvalues of two independent rank-r projections.
-
-    Both projections U (A + lam B) V inherit every finite spectrum point of
-    the pencil with its multiplicity, while their spurious eigenvalues
-    almost surely differ (Hochstenbach, Mehl & Plestenjak, SIMAX 2019).
-    """
-    m, n = p.shape
-    spectra = []
-    for _ in range(2):
-        u = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
-        v = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        u /= np.sqrt(m)
-        v /= np.sqrt(n)
-        vals = scipy.linalg.eigvals(u @ p.a @ v, -(u @ p.b @ v))
-        spectra.append(vals[np.isfinite(vals)])
-    return spectra[0], spectra[1]
-
-
-def _finite_structure_attempt(
-    p: Pencil,
-    r: int,
-    s_right: int,
-    g_finite: int,
-    tol: ToleranceConfig,
-    eigs1: np.ndarray,
-    eigs2: np.ndarray,
-    radius: float,
-) -> tuple[list[tuple[int, complex]] | None, str]:
-    """One clustering-radius attempt at the finite regular structure.
-
-    Returns the block list when the recovered sizes exactly tile the
-    finite regular part, otherwise None and the check that rejected it.
-    """
-    matched = [
-        z
-        for z in eigs1
-        if eigs2.size and np.min(np.abs(eigs2 - z)) <= radius * max(1.0, abs(z))
-    ]
-    base = p.norm_scale()
-    jordan: list[tuple[int, complex]] = []
-    points: list[complex] = []
-    for members in _single_linkage(matched, radius):
-        lam = complex(np.mean(members))
-        point_scale = base * max(1.0, abs(lam))
-        if numerical_rank(p.at(lam), tol, scale=point_scale) >= r:
-            continue
-        try:
-            sizes = _chain_sizes(
-                p.at(lam), p.b, s_right, g_finite, tol,
-                f"structure at {lam:.6g}", scale=point_scale,
-            )
-        except RankDecisionUnstable:
-            continue
-        if sizes:
-            jordan.extend((size, -lam) for size in sizes)
-            points.append(lam)
-    total = sum(size for size, _ in jordan)
-    if total != g_finite:
-        if len(matched) < g_finite:
-            return None, (
-                f"only {len(matched)} of {len(eigs1)} projected eigenvalues "
-                f"cross-matched, {g_finite} needed"
-            )
-        return None, f"block sizes at {len(points)} points total {total}, not {g_finite}"
-    # Split eigenvalues of one multiple eigenvalue can masquerade as several
-    # nearby simple ones and still tile the size budget; recovered points
-    # closer than the guard margin are not trustworthy at this radius.
-    # The guard is capped so that large ladder rungs (which exist to merge
-    # wide high-multiplicity rings) cannot disqualify genuinely distinct
-    # eigenvalues at moderate separation.
-    guard = min(25.0 * radius, 0.3)
-    for i, zi in enumerate(points):
-        for zj in points[i + 1 :]:
-            if abs(zi - zj) <= guard * max(1.0, abs(zi), abs(zj)):
-                return None, (
-                    f"points {zi:.6g} and {zj:.6g} of {len(points)} lie within "
-                    f"the guard {guard:g}"
-                )
-    return jordan, ""
-
-
-def _single_linkage(values: list[complex], radius: float) -> list[list[complex]]:
-    """Connected components under |z - w| <= radius * max(1, |z|, |w|)."""
-    remaining = list(values)
-    clusters: list[list[complex]] = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for z in list(remaining):
-                if any(abs(z - w) <= radius * max(1.0, abs(z), abs(w)) for w in members):
-                    members.append(z)
-                    remaining.remove(z)
-                    grew = True
-        clusters.append(members)
-    return clusters
-
-
 def _finite_regular_structure(
     p: Pencil,
     r: int,
@@ -560,23 +453,47 @@ def _finite_regular_structure(
 ) -> list[tuple[int, complex]]:
     """Finite regular blocks of the pencil, validated against its size.
 
-    QZ gives the finite eigenvalues of two random rank-r projections; those
-    present in both are clustered, and the chain rank sequence at each
-    cluster mean gives that point's block sizes.  The cluster radius climbs
-    :data:`_EIG_CLUSTER_LADDER` until the sizes tile the finite regular part
-    at well-separated points.
+    Two random rank-r projections U (A + lam B) V inherit every finite
+    spectrum point of the pencil with its multiplicity, while their
+    spurious eigenvalues almost surely differ (Hochstenbach, Mehl &
+    Plestenjak, SIMAX 2019).  An eigenvalue of the first is kept when the
+    second has one within twice the smaller of their chordal radii, so a
+    wide ring in one projection cannot claim a sharp spurious eigenvalue
+    of the other.  The kept eigenvalues are clustered, and the chain rank
+    sequence at each cluster mean gives that point's block sizes, which
+    must tile the finite regular part; anything else raises
+    :class:`RankDecisionUnstable`.
     """
-    eigs1, eigs2 = _projected_eigenvalues(p, r, rng)
-    for radius in _EIG_CLUSTER_LADDER:
-        jordan, reason = _finite_structure_attempt(
-            p, r, s_right, g_finite, tol, eigs1, eigs2, radius
+    m, n = p.shape
+    discs = []
+    for _ in range(2):
+        u = (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))) / np.sqrt(m)
+        v = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))) / np.sqrt(n)
+        discs.append(eigenvalue_discs(u @ p.a @ v, u @ p.b @ v))
+    (alpha, beta, radius), (alpha2, beta2, radius2) = discs
+    chordal = np.abs(np.outer(alpha, beta2) - np.outer(beta, alpha2))
+    shared = np.any(chordal <= 2.0 * np.minimum(radius[:, None], radius2[None, :]), axis=1)
+    spectrum = disc_clusters(alpha[shared], beta[shared], radius[shared])
+    base = p.norm_scale()
+    jordan: list[tuple[int, complex]] = []
+    for lam in spectrum.values:
+        point_scale = base * max(1.0, abs(lam))
+        if numerical_rank(p.at(lam), tol, scale=point_scale) >= r:
+            continue
+        sizes = _chain_sizes(
+            p.at(lam), p.b, s_right, g_finite, tol, f"structure at {lam:.6g}", scale=point_scale
         )
-        if jordan is not None:
-            return jordan
-    raise RankDecisionUnstable(
-        f"finite regular structure unresolved: no clustering radius tiles "
-        f"{g_finite} dimensions; at radius {radius:g}, {reason}"
+        jordan.extend((size, -lam) for size in sizes)
+    total = sum(size for size, _ in jordan)
+    if total == g_finite:
+        return jordan
+    matched = sum(spectrum.multiplicities)
+    check = (
+        f"only {matched} of {len(alpha)} projected eigenvalues cross-matched, {g_finite} needed"
+        if matched < g_finite
+        else f"block sizes at {len(spectrum.values)} points total {total}, not {g_finite}"
     )
+    raise RankDecisionUnstable(f"finite regular structure unresolved: {check}")
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +506,9 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     Column minimal indices come from the kernel resultant nullities of the
     pencil, row minimal indices from the transposed pencil, nilpotent
     sizes from chain sequences with the roles of A and B swapped, and the
-    finite regular structure from chain sequences at the QZ eigenvalues
-    shared by two random rank-r projections.  A final shape audit must
-    account for every row and column; anything unexplained raises
+    finite regular structure from chain sequences at the QZ eigenvalue
+    clusters shared by two random rank-r projections.  A final shape audit
+    must account for every row and column; anything unexplained raises
     :class:`RankDecisionUnstable`.
 
     Every stage runs on the balanced pencil A + w (rho B) with

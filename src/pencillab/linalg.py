@@ -1,8 +1,7 @@
 """Dense complex linear algebra substrate.
 
-Factorizations are delegated to LAPACK through numpy (complex SVD;
-eigenvalues via Hessenberg reduction plus shifted QR, which is what
-``zgeev`` performs).  Everything tolerance-sensitive is parameterized by
+Factorizations are delegated to LAPACK through numpy and scipy (complex
+SVD, LU, QZ).  Everything tolerance-sensitive is parameterized by
 :class:`~pencillab.config.ToleranceConfig`, and every rank decision in the
 package is made by :func:`rank_decision`: singular values at or below
 ``rank_rel_tol * max(sigma_1, scale) * max(rows, cols)`` count as zero,
@@ -11,13 +10,17 @@ relative cutoff).  A singular value within a factor ``RANK_GUARD`` = 10 of
 the cutoff makes the decision untrustworthy; callers that must be sure
 raise or skip on it.  A pencil sweep anchors node lam at |A| + |lam| |B|
 (:func:`node_stack`); determinant-zero decisions compare LU pivots with
-``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).
+``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
+eigenvalue cluster with its multiplicity comes from
+:func:`disc_clusters`, which links QZ eigenvalues by their own
+chordal perturbation discs (:func:`eigenvalue_discs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
 import warnings
 
 import numpy as np
@@ -31,10 +34,10 @@ from .pencil import Pencil, as_matrix
 # untrustworthy: the staircase raises on it and node sweeps skip the node.
 RANK_GUARD = 10.0
 
-# Double roots of an interpolated polynomial split by about sqrt(eps) in
-# floating point; clustering has to bridge that gap even when the user
-# tolerance is tighter.
-_CLUSTER_FLOOR = 4.0 * np.sqrt(np.finfo(float).eps)
+# Chordal radius per unit of first-order error; 10 leaves split Jordan rings unmerged.
+CLUSTER_RADIUS_FACTOR = 100.0
+# Rings stay below 1e-3 up to Jordan-4, while a 0.1 cap linked eigenvalues 0.2 apart.
+CLUSTER_RADIUS_CAP = 0.01
 
 
 @dataclass(frozen=True)
@@ -135,49 +138,103 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(m))
 
 
-def cluster_values(values, tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumList:
-    """Group nearby complex values into (value, multiplicity) clusters.
+def eigenvalues(a, b=None) -> SpectrumList:
+    """Eigenvalues of the matrix A, or of the pencil A + lam B, clustered.
 
-    Values are sorted lexicographically by (Re, Im) and chained into a
-    cluster while they stay within the cluster radius of the running
-    centroid.  The radius is relative to the centroid magnitude with an
-    absolute floor of 1.
+    The pencil is first balanced by a power of two, so that |A| and |B|
+    match; a matrix is scaled down to |A|_F ~ sqrt(n) when larger, so its
+    metric is relative to max(1, |A|) like the rank anchors.  The clusters
+    are those of :func:`disc_clusters` over :func:`eigenvalue_discs`.
     """
-    vs = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    if not vs:
-        return SpectrumList((), ())
-    radius_tol = max(tol.eig_cluster_tol, _CLUSTER_FLOOR)
-    reps: list[complex] = []
-    mults: list[int] = []
-    current = [vs[0]]
-    centroid = vs[0]
-    for v in vs[1:]:
-        if abs(v - centroid) <= radius_tol * max(1.0, abs(centroid)):
-            current.append(v)
-            centroid = sum(current) / len(current)
-        else:
-            reps.append(centroid)
-            mults.append(len(current))
-            current = [v]
-            centroid = v
-    reps.append(centroid)
-    mults.append(len(current))
-    return SpectrumList(tuple(reps), tuple(mults))
+    a = as_matrix(a)
+    n = a.shape[0]
+    if n != a.shape[1]:
+        raise ValueError(f"eigenvalues need a square matrix or pencil, got {a.shape}")
+    if b is None:
+        scale = _power_of_two(max(float(np.linalg.norm(a)) / math.sqrt(max(n, 1)), 1.0))
+        return disc_clusters(*eigenvalue_discs(a / scale), scale=scale)
+    b = as_matrix(b)
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    scale = _power_of_two(na / nb) if na > 0.0 and nb > 0.0 else 1.0
+    # A + w (scale B) has eigenvalues w = lam / scale
+    return disc_clusters(*eigenvalue_discs(a, scale * b), scale=scale)
 
 
-def eigenvalues(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumList:
-    """Matrix spectrum with multiplicities from eigenvalue clustering."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return SpectrumList((), ())
+def eigenvalue_discs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QZ eigenvalues of A + lam B (QR of the matrix A when B is None) with their discs.
+
+    Returns (alpha, beta, radius): each eigenvalue lam = alpha / beta in
+    homogeneous form with |(alpha, beta)| = 1, so that chordal distances
+    are |alpha_i beta_j - alpha_j beta_i|, and its chordal radius
+    ``CLUSTER_RADIUS_FACTOR * kappa * eps * |(A, B)|_F`` with
+    kappa = |x| |y| / |(y* A x, y* B x)| for right and left eigenvectors
+    x, y (Stewart & Sun, ch. VI), capped at ``CLUSTER_RADIUS_CAP``.
+    """
     try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"QR eigenvalue iteration did not converge: {exc}",
+        if b is None:
+            alpha, vl, vr = scipy.linalg.eig(a, left=True, right=True, check_finite=False)
+            beta = np.ones_like(alpha)
+        else:
+            (alpha, beta), vl, vr = scipy.linalg.eig(
+                a, -b, left=True, right=True, homogeneous_eigvals=True, check_finite=False
+            )
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise DecompositionError(f"eigenvalue iteration did not converge: {exc}",
                                  detail=str(exc)) from exc
-    return cluster_values(vals, tol)
+    # scipy returns unit eigenvectors; for B = I, y* B x = y* x and y* A x = lam y* x
+    ybx = np.sum(vl.conj() * (vr if b is None else b @ vr), axis=0)
+    yax = alpha * ybx if b is None else np.sum(vl.conj() * (a @ vr), axis=0)
+    b_norm = math.sqrt(len(a)) if b is None else np.linalg.norm(b)  # |I|_F for a matrix
+    pencil_norm = math.hypot(np.linalg.norm(a), b_norm)
+    with np.errstate(divide="ignore"):
+        kappa = 1.0 / np.hypot(np.abs(yax), np.abs(ybx))
+    radius = CLUSTER_RADIUS_FACTOR * kappa * np.finfo(float).eps * pencil_norm
+    size = np.hypot(np.abs(alpha), np.abs(beta))
+    return alpha / size, beta / size, np.minimum(radius, CLUSTER_RADIUS_CAP)
+
+
+def disc_clusters(alpha, beta, radius, scale: float = 1.0) -> SpectrumList:
+    """Eigenvalues from :func:`eigenvalue_discs`, clustered where their discs overlap.
+
+    Eigenvalues whose discs overlap in the chordal metric form one
+    cluster, so the ring into which rounding splits a defective
+    eigenvalue merges while well-conditioned eigenvalues keep discs near
+    eps.  A cluster with a disc reaching infinity counts as infinite;
+    every other one is reported by its mean times ``scale`` and its size,
+    sorted by (Re, Im).
+    """
+    if not len(alpha):
+        return SpectrumList((), ())
+    chordal = np.abs(np.outer(alpha, beta) - np.outer(beta, alpha))
+    labels = _components(chordal <= radius[:, None] + radius[None, :])
+    roots = np.flatnonzero(labels == np.arange(len(labels)))  # each cluster's first member
+    sizes = np.bincount(labels)[roots]
+    infinite = np.bincount(labels, np.abs(beta) <= radius)[roots] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # infinite clusters are dropped
+        lam = scale * alpha / beta
+        means = (np.bincount(labels, lam.real) + 1j * np.bincount(labels, lam.imag))[roots] / sizes
+    finite = np.flatnonzero(~infinite)
+    finite = finite[np.lexsort((means[finite].imag, means[finite].real))]
+    return SpectrumList(
+        tuple(complex(z) for z in means[finite]),
+        tuple(int(k) for k in sizes[finite]),
+        int(sizes[infinite].sum()),
+    )
+
+
+def _power_of_two(x: float) -> float:
+    """Nearest power of two to x > 0 (1 otherwise): scaling by it is exact."""
+    return 2.0 ** round(math.log2(x)) if x > 0.0 else 1.0
+
+
+def _components(linked: np.ndarray) -> np.ndarray:
+    """Connected-component labels of a symmetric reflexive adjacency matrix."""
+    labels = np.arange(len(linked))
+    while True:
+        spread = np.where(linked, labels[None, :], len(linked)).min(axis=1)
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +311,9 @@ def pencil_determinant_coefficients(p: Pencil, tol: ToleranceConfig = DEFAULT_TO
 def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumList:
     """Roots of det(A + lam*B) with multiplicities, plus the count at infinity.
 
-    The determinant is interpolated at n+1 circle nodes and the interpolant
-    is solved through a companion-matrix eigenproblem.  Degree deficiency
-    of the interpolant is reported as eigenvalues at infinity.  Raises
-    :class:`SingularPencil` when every sampled determinant is negligible.
+    The clusters come from :func:`eigenvalues`.  Raises
+    :class:`SingularPencil` when every sampled determinant is negligible,
+    since a singular pencil has no eigenvalues in this sense.
     """
     if not p.is_square:
         raise ValueError("pencil eigenvalues need a square pencil")
@@ -269,29 +325,4 @@ def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Spectru
         raise SingularPencil(
             "all sampled determinants are negligible; the pencil appears singular"
         )
-    coeffs = pencil_determinant_coefficients(p, tol)
-    mx = float(np.max(np.abs(coeffs)))
-    degree = n
-    while degree > 0 and abs(coeffs[degree]) < tol.det_zero_tol * mx:
-        degree -= 1
-    if degree == 0:
-        return SpectrumList((), (), infinite=n)
-    roots = _companion_roots(coeffs[: degree + 1])
-    spectrum = cluster_values(roots, tol)
-    return SpectrumList(spectrum.values, spectrum.multiplicities, infinite=n - degree)
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of sum(coeffs[j] * lam**j) via the companion eigenproblem."""
-    degree = len(coeffs) - 1
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((degree, degree), dtype=complex)
-    if degree > 1:
-        comp[1:, :-1] = np.eye(degree - 1)
-    comp[:, -1] = -monic[:-1]
-    try:
-        return np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            f"companion eigenvalue iteration did not converge: {exc}", detail=str(exc)
-        ) from exc
+    return eigenvalues(p.a, p.b)

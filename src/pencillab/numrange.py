@@ -188,8 +188,12 @@ def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Is
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
     if not is_singular(p, tol):
         raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
+    return _singular_certificate(p, tol)
+
+
+def _singular_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate:
+    """The body of :func:`isotropic_from_singular` for a pencil known to be singular."""
     a, b = p.a, p.b
-    n = p.rows
 
     kernel = null_space(np.vstack([a, b]), tol)
     if kernel.shape[1] > 0:

@@ -88,6 +88,25 @@ class TestTaylorSpectrum:
             a, b = random_commuting_pair(rng, max_n=7)
             assert pl.taylor_spectrum(a, b).points
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_jordan_block(self, seed):
+        # A = X J X^-1 with a 2x2 Jordan block at 1 and B = A^2
+        x = pl.kronecker.random_well_conditioned(3, np.random.default_rng(seed), 30.0)
+        a = x @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]) @ np.linalg.inv(x)
+        b = a @ a
+        got = by_coords(pl.taylor_spectrum(a, b).points)
+        assert len(got) == 2, got
+        np.testing.assert_allclose(got, [(-1.0, 1.0), (1.0, 1.0)], atol=1e-8)
+        assert pl.spectra_match(got, pl.spectrum_via_singularity(a, b).points)[0]
+
+    @pytest.mark.parametrize("seed", range(4, 200, 5))
+    def test_structured_nilpotent_pair(self, seed):
+        # every "structured" pair is nilpotent: its only joint point is (0, 0)
+        a, b = random_commuting_pair(np.random.default_rng(seed), max_n=8, kind="structured")
+        got = pl.taylor_spectrum(a, b).points
+        scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
+        assert len(got) == 1 and max(abs(got[0][0]), abs(got[0][1])) < 1e-8 * scale, got
+
 
 class TestSpectrumOracles:
     def test_via_singularity_agrees(self, rng):
@@ -103,8 +122,8 @@ class TestSpectrumOracles:
         n = a.shape[0]
         from pencillab.linalg import eigenvalues
 
-        for z1 in eigenvalues(a, tol).values:
-            for z2 in eigenvalues(b, tol).values:
+        for z1 in eigenvalues(a).values:
+            for z2 in eigenvalues(b).values:
                 exact = pl.koszul_at(a, b, z1, z2, tol).exact
                 shifted = pl.Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n))
                 assert exact == (not pl.is_singular(shifted, tol))
@@ -169,6 +188,20 @@ class TestConditionMatrix:
         assert report.zero_in_taylor and report.pencil_singular
         assert report.origin_in_joint_range and report.range_is_plane
         assert report.certificate is not None
+
+    def test_singular_pair_sweeps_once(self, monkeypatch):
+        from pencillab import koszul, numrange
+
+        calls = []
+
+        def counted(p, tol=pl.DEFAULT_TOL):
+            calls.append(p)
+            return pl.is_singular(p, tol)
+
+        monkeypatch.setattr(koszul, "is_singular", counted)
+        monkeypatch.setattr(numrange, "is_singular", counted)
+        assert pl.condition_matrix(np.zeros((2, 2)), np.zeros((2, 2))).pencil_singular
+        assert len(calls) == 1
 
     def test_noncommuting_rejected(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])

@@ -276,11 +276,42 @@ class TestFiniteSpectrum:
         expected = pl.KroneckerStructure(jordan=[(1, -a) for a in diag])
         assert pl.structures_match(_scaled(got, c), expected, tol), f"c={c}: {got}"
 
-    def test_unresolved_names_the_rejecting_check(self, tol, monkeypatch):
-        from pencillab import kronecker
+    @pytest.mark.parametrize("seed", [101, 202])
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3])
+    def test_close_simple_eigenvalues(self, tol, gap, seed):
+        # once the chain ranks certify two close points, no distance guard may reject them
+        lam = np.array([0.5, 0.5 + gap, -1.0 + 0.5j, 1.5j, -2.0, 1.2 - 0.7j])
+        x = pl.kronecker.random_well_conditioned(6, np.random.default_rng(seed), 30.0)
+        p = pl.Pencil(x @ np.diag(-lam) @ np.linalg.inv(x), np.eye(6))
+        expected = pl.KroneckerStructure(jordan=[(1, -v) for v in lam])
+        got = pl.staircase_structure(p, tol)
+        assert pl.structures_match(got, expected, tol), f"gap={gap}: {got}"
 
-        # no two independent projections agree to within a radius of 1e-300
-        monkeypatch.setattr(kronecker, "_EIG_CLUSTER_LADDER", (1e-300,))
+    def test_structures_up_to_size_24(self, tol):
+        # every other pencil has B rescaled by 10**U(-3, 3); a wrong answer
+        # is a failure, an honest RankDecisionUnstable is not
+        from pencillab.generators import random_structure
+
+        rng = np.random.default_rng(2424)
+        recovered = 0
+        for i in range(200):
+            s = random_structure(rng, max_size=24)
+            c = 10.0 ** rng.uniform(-3.0, 3.0) if i % 2 else 1.0
+            p = pl.assemble(s)
+            scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=24000 + i, max_cond=100.0)
+            try:
+                got = pl.staircase_structure(scrambled, tol)
+            except pl.RankDecisionUnstable:
+                continue
+            assert pl.structures_match(_scaled(got, c), s, tol), f"case {i}, c={c:.3g}: {got}"
+            recovered += 1
+        assert recovered >= 190  # the loud failures stay rare
+
+    def test_unresolved_names_the_rejecting_check(self, tol, monkeypatch):
+        from pencillab import linalg
+
+        # no two independent projections agree to within radii shrunk by 1e-300
+        monkeypatch.setattr(linalg, "CLUSTER_RADIUS_FACTOR", 1e-300)
         p = pl.Pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         with pytest.raises(pl.RankDecisionUnstable, match="cross-matched, 3 needed"):
             pl.staircase_structure(p, tol)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencillab as pl
-from pencillab.linalg import cluster_values, det_sample_nodes, pencil_determinant_coefficients
+from pencillab.linalg import det_sample_nodes, pencil_determinant_coefficients
 
 from conftest import complex_matrix
 
@@ -212,6 +212,24 @@ class TestPencilEigenvalues:
             )
             np.testing.assert_allclose(got, expected, atol=1e-8 * max(1, np.linalg.cond(b)))
 
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 1e-4])
+    def test_small_b_keeps_finite_spectrum(self, c):
+        s = pl.KroneckerStructure(jordan=[(2, 1.0), (1, 3.0), (1, -2j)])
+        p = pl.assemble(s)
+        scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=0)
+        spec = pl.pencil_eigenvalues(scrambled)
+        assert spec.infinite == 0
+        assert spec.multiplicities == (1, 2, 1)
+        np.testing.assert_allclose(np.array(spec.values) * c, [-3.0, -1.0, 2j], rtol=1e-6)
+
+    def test_small_eigenvalues_to_full_relative_accuracy(self):
+        diag = np.array([0.003, 0.0045 + 0.001j, -0.006, 0.01j, 0.02, -0.03 + 0.01j])
+        spec = pl.pencil_eigenvalues(pl.Pencil(np.diag(diag), -1000.0 * np.eye(6)))
+        assert spec.multiplicities == (1,) * 6 and spec.infinite == 0
+        got = sorted(spec.values, key=lambda z: (z.real, z.imag))
+        expected = sorted(diag / 1000.0, key=lambda z: (z.real, z.imag))
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
     def test_nodes_distinct(self):
         p = pl.Pencil(np.diag([1.0, -1.0]), np.diag([2.0, -2.0]))
         nodes = det_sample_nodes(p, 5)
@@ -225,13 +243,16 @@ class TestPencilEigenvalues:
 
 
 class TestClustering:
-    def test_merges_split_double_root(self, tol):
-        spec = cluster_values([0.5 + 1.4e-8j, 0.5 - 1.4e-8j], tol)
+    def test_merges_split_double_root(self):
+        # rounding splits a scrambled 2x2 Jordan block into a ring of radius ~1e-8
+        x = pl.kronecker.random_well_conditioned(2, np.random.default_rng(3), 100.0)
+        m = x @ np.array([[0.5, 1.0], [0.0, 0.5]]) @ np.linalg.inv(x)
+        spec = pl.eigenvalues(m)
         assert spec.multiplicities == (2,)
         assert abs(spec.values[0] - 0.5) < 1e-10
 
-    def test_keeps_separated_values(self, tol):
-        spec = cluster_values([1.0, 2.0, 2.0], tol)
+    def test_keeps_separated_values(self):
+        spec = pl.eigenvalues(np.diag([1.0, 2.0, 2.0]))
         assert spec.values == (1.0 + 0.0j, 2.0 + 0.0j)
         assert spec.multiplicities == (1, 2)
 
