@@ -29,9 +29,9 @@ class ToleranceConfig:
         |A| + |lam| |B|)``.
     eig_cluster_tol
         Relative tolerance for comparing two given spectrum points
-        (``structures_match`` and the ratio description allow 100 times
-        it).  It sets no clustering radius: eigenvalue clusters come from
-        each eigenvalue's own perturbation disc.
+        (``structures_match`` allows 100 times it).  It sets no
+        clustering radius: eigenvalue clusters come from each
+        eigenvalue's own perturbation disc.
     sample_count
         Number of sample nodes for determinant/rank sweeps over the
         pencil parameter; raised internally to ``2 * max(rows) + 2``

@@ -189,18 +189,17 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def spectrum_report(ts) -> list[dict]:
-    """Taylor spectrum points with witness residuals."""
-    out = []
-    for (z1, z2), (ra, rb) in zip(ts.points, ts.residuals):
-        out.append(
-            {
-                "z1": complex_to_json(z1),
-                "z2": complex_to_json(z2),
-                "witness_residual_a": float(ra),
-                "witness_residual_b": float(rb),
-            }
-        )
-    return out
+    """Taylor spectrum points with multiplicities and witness residuals."""
+    return [
+        {
+            "z1": complex_to_json(z1),
+            "z2": complex_to_json(z2),
+            "multiplicity": int(m),
+            "witness_residual_a": float(ra),
+            "witness_residual_b": float(rb),
+        }
+        for (z1, z2), m, (ra, rb) in zip(ts.points, ts.multiplicities, ts.residuals)
+    ]
 
 
 def certificate_to_json(cert) -> dict:

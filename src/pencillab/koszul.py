@@ -3,9 +3,10 @@
 For matrices the two-step Koszul complex is exact at a point exactly when
 the stacked map h -> (T1 h, T2 h) is injective and the flattened map
 (h1, h2) -> -T2 h1 + T1 h2 is surjective; the middle homology then
-vanishes automatically because the composite is zero.  The spectrum is
-computed three independent ways (common eigenvectors, shifted-pencil
-singularity, eigenvalue-ratio filtering) that are required to agree.
+vanishes automatically because the composite is zero.  The spectrum comes
+from invariant subspaces, as in the simultaneous triangularization of a
+commuting pair, checked by shifted-pencil singularity and a determinant
+identity, or by the deflating subspaces of A - rho B for invertible pairs.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import SingularityEvidence, is_singular
-from .linalg import eigenvalues, numerical_rank, pencil_eigenvalues, rank_decision, svd
+from .linalg import (det_sample_nodes, invariant_subspaces, node_stack, numerical_rank,
+                     rank_decision, svd)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
+ISOTROPIC_SEARCH_RESTARTS = 400  # on a regular pair whose hull does not exclude the origin
 
 
 def check_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -76,20 +79,20 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
 
 @dataclass(frozen=True)
 class TaylorSpectrum:
-    """Joint spectrum points with common-eigenvector witnesses."""
+    """Joint spectrum points with multiplicities and common-eigenvector witnesses."""
 
     points: tuple[tuple[complex, complex], ...]
+    multiplicities: tuple[int, ...]
     witnesses: tuple[np.ndarray, ...]
     residuals: tuple[tuple[float, float], ...]
 
     def contains(self, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        radius = tol.eig_cluster_tol
-        for p1, p2 in self.points:
-            if abs(p1 - z1) <= radius * max(1.0, abs(p1)) and abs(p2 - z2) <= radius * max(
-                1.0, abs(p2)
-            ):
-                return True
-        return False
+        return any(_close(p, (z1, z2), tol) for p in self.points)
+
+
+def _close(p, q, tol: ToleranceConfig) -> bool:
+    """Whether q matches the spectrum point p coordinatewise within ``eig_cluster_tol``."""
+    return all(abs(x - y) <= tol.eig_cluster_tol * max(1.0, abs(x)) for x, y in zip(p, q))
 
 
 def _pair_scale(a, b, z1: complex = 0.0, z2: complex = 0.0) -> float:
@@ -98,49 +101,55 @@ def _pair_scale(a, b, z1: complex = 0.0, z2: complex = 0.0) -> float:
     )
 
 
-def _candidate_grid(a, b) -> list[tuple[complex, complex]]:
-    sa = eigenvalues(a)
-    sb = eigenvalues(b)
-    grid = [(z1, z2) for z1 in sa.values for z2 in sb.values]
-    grid.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-    return grid
-
-
 def _common_eigenvector(a, b, z1, z2, tol: ToleranceConfig):
-    """Smallest singular direction of the stacked shifted pair, if deficient."""
+    """Smallest singular direction of the stacked shifted pair, which must be deficient."""
     n = a.shape[0]
     stacked = np.vstack([a - z1 * np.eye(n), b - z2 * np.eye(n)])
     u, s, v = svd(stacked)
     if rank_decision(s, stacked.shape, _pair_scale(a, b, z1, z2), tol)[0] >= n:
-        return None
+        raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
     return np.ascontiguousarray(v[:, -1])
 
 
-def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
-    """Taylor spectrum as the set of joint eigenvalues.
+def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
+    """Joint points from subspaces span U, each invariant under A and B.
 
-    Candidates range over the eigenvalue product grid; a candidate is kept
-    when the shifted pair has a common kernel direction, which is the
-    witness recorded with its residuals.
+    Each cluster of U* B U (on B's own scale, as :func:`eigenvalues` takes
+    it) has an invariant subspace span W, and on Q = U W both A and B have
+    one eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
+    m = width of Q.  Its witness is a common eigenvector, whose rank test
+    is the Koszul non-exactness check; a point without one raises
+    :class:`OracleDisagreement`.
+    """
+    n = a.shape[0]
+    b_scale = max(1.0, float(np.linalg.norm(b)) / np.sqrt(n))
+    found = []
+    for u in bases:
+        for w in invariant_subspaces(u.conj().T @ (b / b_scale) @ u)[1]:
+            q = u @ w
+            m = q.shape[1]
+            found.append((complex(np.trace(q.conj().T @ a @ q)) / m,
+                          complex(np.trace(q.conj().T @ b @ q)) / m, m))
+    found.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
+    witnesses = [_common_eigenvector(a, b, z1, z2, tol) for z1, z2, _ in found]
+    return TaylorSpectrum(
+        tuple((z1, z2) for z1, z2, _ in found),
+        tuple(m for *_, m in found),
+        tuple(witnesses),
+        tuple((float(np.linalg.norm(a @ x - z1 * x)), float(np.linalg.norm(b @ x - z2 * x)))
+              for (z1, z2, _), x in zip(found, witnesses)),
+    )
+
+
+def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
+    """Taylor spectrum as the set of joint eigenvalues, with multiplicities.
+
+    Follows the simultaneous triangularization: the invariant subspace of
+    each eigenvalue cluster of A is invariant under B too, and splits
+    along the clusters of B restricted to it into the joint points.
     """
     a, b = _require_commuting(a, b, tol)
-    points = []
-    witnesses = []
-    residuals = []
-    for z1, z2 in _candidate_grid(a, b):
-        x = _common_eigenvector(a, b, z1, z2, tol)
-        if x is None:
-            continue
-        points.append((z1, z2))
-        witnesses.append(x)
-        n = a.shape[0]
-        residuals.append(
-            (
-                float(np.linalg.norm((a - z1 * np.eye(n)) @ x)),
-                float(np.linalg.norm((b - z2 * np.eye(n)) @ x)),
-            )
-        )
-    return TaylorSpectrum(tuple(points), tuple(witnesses), tuple(residuals))
+    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
 
 
 def spectra_match(
@@ -151,17 +160,10 @@ def spectra_match(
     Returns (equal, mismatches) where mismatches lists points present on
     one side only.
     """
-    radius = tol.eig_cluster_tol
-
-    def close(p, q):
-        return abs(p[0] - q[0]) <= radius * max(1.0, abs(p[0])) and abs(
-            p[1] - q[1]
-        ) <= radius * max(1.0, abs(p[1]))
-
     remaining = list(points2)
     mismatches = []
     for p in points1:
-        hit = next((i for i, q in enumerate(remaining) if close(p, q)), None)
+        hit = next((i for i, q in enumerate(remaining) if _close(p, q, tol)), None)
         if hit is None:
             mismatches.append(("first-only", p))
         else:
@@ -171,40 +173,32 @@ def spectra_match(
 
 
 def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
-    """Independent spectrum oracle through shifted-pencil singularity.
+    """Independent check of :func:`taylor_spectrum` through shifted-pencil singularity.
 
-    A candidate belongs to the spectrum exactly when the pencil
-    (A - z1) + lam (B - z2) is singular.  The result is cross-checked
-    against :func:`taylor_spectrum`; any difference raises
-    :class:`OracleDisagreement` with the offending point.
+    By the paper's theorem (A - z1) + lam (B - z2) is singular at each
+    joint point: one :func:`is_singular` sweep per point.  Completeness and
+    multiplicities: det((A - z) + lam B) = prod_k (z1_k - z + lam z2_k)^(m_k)
+    to ``det_zero_tol`` relative at n + 1 nodes, the left side from one
+    batched LU, with z = twice the node anchor |A| + |lam| |B|, beyond every
+    eigenvalue of A + lam B.  A failure raises :class:`OracleDisagreement`.
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
     direct = taylor_spectrum(a, b, tol)
-    points = []
-    witnesses = []
-    residuals = []
-    for z1, z2 in _candidate_grid(a, b):
-        shifted = Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n))
-        verdict = is_singular(shifted, tol)
-        member = direct.contains(z1, z2, tol)
-        if bool(verdict) != member:
-            raise OracleDisagreement(
-                f"shifted-pencil singularity disagrees with the kernel test at ({z1}, {z2})",
-                point=(z1, z2),
-                verdicts={"singular_pencil": bool(verdict), "common_eigenvector": member},
-            )
-        if verdict:
-            x = _common_eigenvector(a, b, z1, z2, tol)
-            points.append((z1, z2))
-            witnesses.append(x)
-            residuals.append(
-                (
-                    float(np.linalg.norm((a - z1 * np.eye(n)) @ x)),
-                    float(np.linalg.norm((b - z2 * np.eye(n)) @ x)),
-                )
-            )
-    return TaylorSpectrum(tuple(points), tuple(witnesses), tuple(residuals))
+    for z1, z2 in direct.points:
+        if not is_singular(Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
+            raise OracleDisagreement(f"regular shifted pencil at ({z1}, {z2})", point=(z1, z2))
+    nodes = det_sample_nodes(Pencil(a, b), n + 1)
+    stack, anchors = node_stack(Pencil(a, b), nodes)
+    shift = 2.0 * max(float(anchors[0]), np.finfo(float).tiny)  # every node has the same |lam|
+    lhs = np.linalg.det(stack / shift - np.eye(n))
+    z1, z2 = np.array(direct.points).T
+    rhs = np.prod(((z1 + nodes[:, None] * z2) / shift - 1.0) ** np.array(direct.multiplicities), 1)
+    gap = np.abs(lhs - rhs) / np.abs(rhs)
+    if gap.max() > tol.det_zero_tol:
+        raise OracleDisagreement(f"det((A - z) + lam B) is off the product over the joint points "
+                                 f"by {gap.max():.3e} relative", verdicts={"gap": gap})
+    return direct
 
 
 def spectrum_invertible_characterization(
@@ -212,46 +206,17 @@ def spectrum_invertible_characterization(
 ) -> TaylorSpectrum:
     """Spectrum of an invertible commuting pair by eigenvalue ratios.
 
-    Keeps the candidate (z1, z2) when z1/z2 matches a spectrum point of
-    the pencil A - lam B within ``100 * eig_cluster_tol`` relative, the
-    rule :func:`~pencillab.kronecker.structures_match` uses, and the rank
-    of A - (z1/z2) B drops.  Only valid for invertible A and B, where the
-    candidate second coordinate can never vanish.
+    Each joint eigenvalue is (rho z2, z2) for a cluster rho of the pencil
+    A - rho B and a cluster z2 of K* B K, where span K is the right
+    deflating subspace of rho, invariant under A and B.  QZ on A - rho B in
+    place of the Schur form of A keeps this independent of
+    :func:`taylor_spectrum`.  Only valid for invertible A and B.
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
-    ratios = pencil_eigenvalues(Pencil(a, -b), tol).values
-    radius = 100 * tol.eig_cluster_tol
-    scale = _pair_scale(a, b)
-
-    points = []
-    witnesses = []
-    residuals = []
-    for z1, z2 in _candidate_grid(a, b):
-        if abs(z2) <= tol.eig_cluster_tol or abs(z1) <= tol.eig_cluster_tol:
-            raise NotInvertible("candidate on a coordinate axis contradicts invertibility")
-        ratio = z1 / z2
-        if not any(abs(ratio - lam) <= radius * max(1.0, abs(lam)) for lam in ratios):
-            continue
-        shifted = a - ratio * b
-        if numerical_rank(shifted, tol, scale=scale * max(1.0, abs(ratio))) >= n:
-            continue
-        x = _common_eigenvector(a, b, z1, z2, tol)
-        points.append((z1, z2))
-        if x is not None:
-            witnesses.append(x)
-            residuals.append(
-                (
-                    float(np.linalg.norm((a - z1 * np.eye(n)) @ x)),
-                    float(np.linalg.norm((b - z2 * np.eye(n)) @ x)),
-                )
-            )
-        else:
-            witnesses.append(np.zeros(n, dtype=complex))
-            residuals.append((float("inf"), float("inf")))
-    return TaylorSpectrum(tuple(points), tuple(witnesses), tuple(residuals))
+    return _joint_spectrum(a, b, invariant_subspaces(a, -b)[1], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +252,14 @@ _IMPLICATIONS = (
 )
 
 
-def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL,
-                     search_restarts: int = 400) -> ConditionMatrix:
+def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatrix:
     """Evaluate conditions (0), (i), (ii), (iii) and assert their implications.
 
     For matrices every implication checked here is a theorem; a failed one
     signals a numerical or logic bug and raises
     :class:`ImplicationViolated`.  Condition (ii) is reported as true only
-    when an isotropic certificate was actually found; no claim of
-    non-membership is ever made.
+    when an isotropic certificate was actually found.  A valid separation
+    certificate of the hull proves (ii) false, so no search runs then.
     """
     from . import numrange
 
@@ -305,18 +269,16 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL,
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
     cond_i = bool(singularity)
+    membership = numrange.conv_hull_membership(a, b, tol)
+    cond_iii = membership.verdict in ("inside", "boundary")
 
     certificate = None
     if cond_i:
         certificate = numrange._singular_certificate(p, tol)
-    else:
-        certificate = numrange.isotropic_search(a, b, tol, restarts=search_restarts)
+    elif membership.certificate is None or not membership.certificate.is_valid(a, b):
+        certificate = numrange.isotropic_search(a, b, tol, restarts=ISOTROPIC_SEARCH_RESTARTS)
     cond_ii = certificate is not None and certificate.is_valid(a, b)
-    if not cond_ii:
-        certificate = None
-
-    membership = numrange.conv_hull_membership(a, b, tol)
-    cond_iii = membership.verdict in ("inside", "boundary")
+    certificate = certificate if cond_ii else None
 
     values = {
         "zero_in_taylor": cond0,

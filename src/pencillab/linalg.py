@@ -13,7 +13,8 @@ raise or skip on it.  A pencil sweep anchors node lam at |A| + |lam| |B|
 ``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
 eigenvalue cluster with its multiplicity comes from
 :func:`disc_clusters`, which links QZ eigenvalues by their own
-chordal perturbation discs (:func:`eigenvalue_discs`).
+chordal perturbation discs (:func:`eigenvalue_discs`), and
+:func:`invariant_subspaces` adds each cluster's subspace by reordering.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DecompositionError, SingularPencil
+from .errors import DecompositionError, RankDecisionUnstable, SingularPencil
 from .pencil import Pencil, as_matrix
 
 # A singular value within this factor of its cutoff makes a rank decision
@@ -146,18 +147,57 @@ def eigenvalues(a, b=None) -> SpectrumList:
     metric is relative to max(1, |A|) like the rank anchors.  The clusters
     are those of :func:`disc_clusters` over :func:`eigenvalue_discs`.
     """
+    a, b, scale = _balanced(a, b)
+    return disc_clusters(*eigenvalue_discs(a, b), scale=scale)
+
+
+def invariant_subspaces(a, b=None) -> tuple[SpectrumList, tuple[np.ndarray, ...]]:
+    """The clusters of :func:`eigenvalues` with an orthonormal basis of each one's subspace.
+
+    The basis spans a matrix's invariant subspace from the complex Schur
+    form, or a pencil's right deflating subspace from the QZ form, either
+    reordered to lead with the cluster; one that does not lead with exactly
+    the cluster raises :class:`RankDecisionUnstable`.  Clusters at infinity
+    have no basis.
+    """
+    a, b, scale = _balanced(a, b)
+    alpha, beta, radius = eigenvalue_discs(a, b)
+    spectrum, labels, roots = _clusters(alpha, beta, radius, scale)
+    bases = []
+    for root, size in zip(roots, spectrum.multiplicities):
+        def select(x, y=1.0, root=root):  # is the chordally nearest eigenvalue in the cluster
+            nearest = np.abs(np.multiply.outer(x, beta) - np.multiply.outer(y, alpha)).argmin(-1)
+            return labels[nearest] == root
+
+        try:
+            if b is None:
+                t, z, _ = scipy.linalg.schur(a, output="complex", sort=select)
+                leading = select(np.diag(t))
+            else:
+                *_, x, y, _, z = scipy.linalg.ordqz(a, -b, sort=select, output="complex")
+                leading = select(x, y)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise RankDecisionUnstable(f"reordering the Schur form failed: {exc}") from exc
+        if not np.array_equal(leading, np.arange(len(a)) < size):
+            raise RankDecisionUnstable(f"reordering to a cluster of {size} led with {leading}")
+        bases.append(z[:, :size])
+    return spectrum, tuple(bases)
+
+
+def _balanced(a, b):
+    """A and B scaled by the power of two s of :func:`eigenvalues`, and s."""
     a = as_matrix(a)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix or pencil, got {a.shape}")
     if b is None:
         scale = _power_of_two(max(float(np.linalg.norm(a)) / math.sqrt(max(n, 1)), 1.0))
-        return disc_clusters(*eigenvalue_discs(a / scale), scale=scale)
+        return a / scale, None, scale
     b = as_matrix(b)
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     scale = _power_of_two(na / nb) if na > 0.0 and nb > 0.0 else 1.0
     # A + w (scale B) has eigenvalues w = lam / scale
-    return disc_clusters(*eigenvalue_discs(a, scale * b), scale=scale)
+    return a, scale * b, scale
 
 
 def eigenvalue_discs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,8 +243,13 @@ def disc_clusters(alpha, beta, radius, scale: float = 1.0) -> SpectrumList:
     every other one is reported by its mean times ``scale`` and its size,
     sorted by (Re, Im).
     """
+    return _clusters(alpha, beta, radius, scale)[0]
+
+
+def _clusters(alpha, beta, radius, scale: float):
+    """(:func:`disc_clusters`, each eigenvalue's label, each finite cluster's label in order)."""
     if not len(alpha):
-        return SpectrumList((), ())
+        return SpectrumList((), ()), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     chordal = np.abs(np.outer(alpha, beta) - np.outer(beta, alpha))
     labels = _components(chordal <= radius[:, None] + radius[None, :])
     roots = np.flatnonzero(labels == np.arange(len(labels)))  # each cluster's first member
@@ -215,11 +260,9 @@ def disc_clusters(alpha, beta, radius, scale: float = 1.0) -> SpectrumList:
         means = (np.bincount(labels, lam.real) + 1j * np.bincount(labels, lam.imag))[roots] / sizes
     finite = np.flatnonzero(~infinite)
     finite = finite[np.lexsort((means[finite].imag, means[finite].real))]
-    return SpectrumList(
-        tuple(complex(z) for z in means[finite]),
-        tuple(int(k) for k in sizes[finite]),
-        int(sizes[infinite].sum()),
-    )
+    spectrum = SpectrumList(tuple(complex(z) for z in means[finite]),
+                            tuple(int(k) for k in sizes[finite]), int(sizes[infinite].sum()))
+    return spectrum, labels, roots[finite]
 
 
 def _power_of_two(x: float) -> float:

@@ -34,6 +34,7 @@ class TestAnalyze:
         assert cm["iii_range_is_plane"] is True
         points = {(round(p["z1"][0]), round(p["z2"][0])) for p in report["taylor_spectrum"]}
         assert points == {(1, 2), (-1, -2)}
+        assert [p["multiplicity"] for p in report["taylor_spectrum"]] == [1, 1]
 
     def test_zero_pencil_all_true(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)

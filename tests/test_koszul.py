@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,10 @@ class TestTaylorSpectrum:
     def test_nonempty_spectrum(self, rng):
         for _ in range(10):
             a, b = random_commuting_pair(rng, max_n=7)
-            assert pl.taylor_spectrum(a, b).points
+            ts = pl.taylor_spectrum(a, b)
+            assert ts.points
+            assert sum(ts.multiplicities) == a.shape[0]
+            assert len(ts.witnesses) == len(ts.points)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_jordan_block(self, seed):
@@ -94,18 +99,22 @@ class TestTaylorSpectrum:
         x = pl.kronecker.random_well_conditioned(3, np.random.default_rng(seed), 30.0)
         a = x @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]) @ np.linalg.inv(x)
         b = a @ a
-        got = by_coords(pl.taylor_spectrum(a, b).points)
+        ts = pl.taylor_spectrum(a, b)
+        got = by_coords(ts.points)
         assert len(got) == 2, got
         np.testing.assert_allclose(got, [(-1.0, 1.0), (1.0, 1.0)], atol=1e-8)
+        assert ts.points == tuple(got) and ts.multiplicities == (1, 2)
         assert pl.spectra_match(got, pl.spectrum_via_singularity(a, b).points)[0]
 
     @pytest.mark.parametrize("seed", range(4, 200, 5))
     def test_structured_nilpotent_pair(self, seed):
         # every "structured" pair is nilpotent: its only joint point is (0, 0)
         a, b = random_commuting_pair(np.random.default_rng(seed), max_n=8, kind="structured")
-        got = pl.taylor_spectrum(a, b).points
+        ts = pl.taylor_spectrum(a, b)
+        got = ts.points
         scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
         assert len(got) == 1 and max(abs(got[0][0]), abs(got[0][1])) < 1e-8 * scale, got
+        assert ts.multiplicities == (a.shape[0],)
 
 
 class TestSpectrumOracles:
@@ -116,6 +125,34 @@ class TestSpectrumOracles:
             oracle = pl.spectrum_via_singularity(a, b)
             equal, mismatches = pl.spectra_match(direct.points, oracle.points)
             assert equal, mismatches
+
+    def test_one_sweep_per_joint_point(self, monkeypatch):
+        from pencillab import koszul
+
+        calls = []
+
+        def counted(p, tol=pl.DEFAULT_TOL):
+            calls.append(p)
+            return pl.is_singular(p, tol)
+
+        monkeypatch.setattr(koszul, "is_singular", counted)
+        ts = pl.spectrum_via_singularity(
+            np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 3.0, 2.0, 1.0]))
+        assert ts.multiplicities == (1, 1, 1, 1)
+        assert len(calls) == 4
+
+    def test_completeness_check_catches_a_moved_multiplicity(self, monkeypatch):
+        from pencillab import koszul
+
+        x = pl.kronecker.random_well_conditioned(3, np.random.default_rng(0), 30.0)
+        a = x @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]) @ np.linalg.inv(x)
+        b = a @ a
+        true = koszul.taylor_spectrum(a, b)
+        assert true.multiplicities == (1, 2)
+        moved = dataclasses.replace(true, multiplicities=(2, 1))
+        monkeypatch.setattr(koszul, "taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
+        with pytest.raises(pl.OracleDisagreement):
+            pl.spectrum_via_singularity(a, b)
 
     def test_pointwise_koszul_vs_singularity(self, rng, tol):
         a, b = random_commuting_pair(rng, max_n=5, kind="poly")
@@ -149,6 +186,14 @@ class TestInvertibleCharacterization:
         ts = pl.spectrum_invertible_characterization(np.eye(2), np.eye(2))
         np.testing.assert_allclose(ts.points, [(1.0, 1.0)], atol=1e-12)
 
+    def test_ratio_shared_by_two_points(self):
+        # ratio 1 belongs to (1, 1) and (2, 2); (2, 1) has ratio 2 but is no joint point
+        a, b = np.diag([1.0, 2.0, 4.0]), np.diag([1.0, 2.0, 2.0])
+        ts = pl.spectrum_invertible_characterization(a, b)
+        np.testing.assert_allclose(ts.points, [(1.0, 1.0), (2.0, 2.0), (4.0, 2.0)], atol=1e-12)
+        assert ts.multiplicities == (1, 1, 1)
+        assert all(np.isfinite(r).all() and max(r) < 1e-12 for r in ts.residuals)
+
     def test_rejects_singular_coefficient(self):
         with pytest.raises(pl.NotInvertible):
             pl.spectrum_invertible_characterization(np.diag([1.0, 0.0]), np.eye(2))
@@ -165,6 +210,7 @@ class TestInvertibleCharacterization:
             ratio = pl.spectrum_invertible_characterization(a, b)
             equal, mismatches = pl.spectra_match(direct.points, ratio.points)
             assert equal, mismatches
+            assert ratio.multiplicities == direct.multiplicities
 
 
 class TestConditionMatrix:
@@ -203,6 +249,22 @@ class TestConditionMatrix:
         assert pl.condition_matrix(np.zeros((2, 2)), np.zeros((2, 2))).pencil_singular
         assert len(calls) == 1
 
+    def test_separated_hull_skips_isotropic_search(self, monkeypatch):
+        from pencillab import numrange
+
+        calls = []
+        search = numrange.isotropic_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(numrange, "isotropic_search", counted)
+        report = pl.condition_matrix(np.diag([1.0, 1.2]), np.diag([0.3j, -0.5j]))
+        assert report.membership.verdict == "outside"
+        assert not report.origin_in_joint_range and report.certificate is None
+        assert calls == []
+
     def test_noncommuting_rejected(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         p = pl.assemble(s)
@@ -229,6 +291,12 @@ class TestShiftPairs:
         p = pl.Pencil(a, b)
         coeffs = pencil_determinant_coefficients(p, tol) * p.norm_scale() ** 4
         np.testing.assert_allclose(coeffs, [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_multiplicities(self, n):
+        ts = pl.taylor_spectrum(*pl.shift_truncation_pair(n))
+        np.testing.assert_allclose(ts.points, [(0.0, 1.0), (1.0, 0.0)], atol=1e-12)
+        assert ts.multiplicities == (n, n)
 
     def test_commuting_all_sizes(self):
         for n in range(1, 8):

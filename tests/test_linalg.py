@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencillab as pl
-from pencillab.linalg import det_sample_nodes, pencil_determinant_coefficients
+from pencillab.linalg import det_sample_nodes, invariant_subspaces, pencil_determinant_coefficients
 
 from conftest import complex_matrix
 
@@ -255,6 +255,45 @@ class TestClustering:
         spec = pl.eigenvalues(np.diag([1.0, 2.0, 2.0]))
         assert spec.values == (1.0 + 0.0j, 2.0 + 0.0j)
         assert spec.multiplicities == (1, 2)
+
+
+class TestInvariantSubspaces:
+    def test_matrix_clusters_with_jordan_block(self):
+        x = pl.kronecker.random_well_conditioned(4, np.random.default_rng(5), 30.0)
+        j = np.diag([1.0, 1.0, -2.0, 0.5j]) + np.diag([1.0, 0.0, 0.0], 1)
+        a = x @ j @ np.linalg.inv(x)
+        spectrum, bases = invariant_subspaces(a)
+        assert spectrum == pl.eigenvalues(a)
+        assert [u.shape[1] for u in bases] == list(spectrum.multiplicities)
+        for z, u in zip(spectrum.values, bases):
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+            restricted = u.conj().T @ a @ u
+            assert np.linalg.norm(a @ u - u @ restricted) < 1e-12 * np.linalg.norm(a)
+            assert abs(np.trace(restricted) / u.shape[1] - z) < 1e-10
+
+    def test_pencil_deflating_subspaces(self):
+        rng = np.random.default_rng(6)
+        x = pl.kronecker.random_well_conditioned(4, rng, 30.0)
+        y = pl.kronecker.random_well_conditioned(4, rng, 30.0)
+        a, b = x @ np.diag([1.0, 1.0, 2.0, 3.0]) @ y, -x @ y  # A + lam B = X (D - lam) Y
+        spectrum, bases = invariant_subspaces(a, b)
+        np.testing.assert_allclose(spectrum.values, [1.0, 2.0, 3.0], atol=1e-10)
+        assert [u.shape[1] for u in bases] == [2, 1, 1]
+        ratio = np.linalg.solve(b, a)  # -B^-1 A has the pencil's eigenvalues
+        for z, u in zip(spectrum.values, bases):
+            restricted = u.conj().T @ ratio @ u
+            assert np.linalg.norm(ratio @ u - u @ restricted) < 1e-10 * np.linalg.norm(ratio)
+            np.testing.assert_allclose(np.linalg.eigvals(-restricted), z, atol=1e-8)
+
+    def test_reordering_that_misses_the_cluster_raises(self, monkeypatch):
+        from pencillab import linalg
+
+        # discs of diag(1, 1, 2) against the Schur form of diag(1, 2, 2): the
+        # reordering to the simple cluster at 2 would lead with two eigenvalues
+        discs = linalg.eigenvalue_discs(np.diag([1.0, 1.0, 2.0]).astype(complex))
+        monkeypatch.setattr(linalg, "eigenvalue_discs", lambda a, b=None: discs)
+        with pytest.raises(pl.RankDecisionUnstable):
+            invariant_subspaces(np.diag([1.0, 2.0, 2.0]))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
