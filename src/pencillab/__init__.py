@@ -59,6 +59,7 @@ from .koszul import (
 )
 from .numrange import (
     ConvHullMembership,
+    InsideCertificate,
     IsotropicCertificate,
     SeparationCertificate,
     conv_hull_membership,

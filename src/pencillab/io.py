@@ -217,7 +217,10 @@ def membership_to_json(membership) -> dict:
         "strongest_min": float(membership.strongest_min),
         "direction": [float(x) for x in membership.direction],
         "scale": float(membership.scale),
+        "iterations": int(membership.iterations),
     }
     if membership.certificate is not None:
         out["separation_margin"] = float(membership.certificate.margin)
+    if membership.inside_certificate is not None:
+        out["inside_weights"] = [float(w) for w in membership.inside_certificate.weights]
     return out

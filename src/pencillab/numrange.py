@@ -3,8 +3,10 @@
 Membership of the origin in the joint numerical range W(A, B) is
 certified constructively (common kernel vector, or the Kronecker-form
 reduction for singular pencils) or by randomized local search; absence is
-never claimed, except for the convex hull, where a positive direction of
-the four-matrix Hermitian sweep is a genuine separation certificate.
+claimed only through the convex hull, where Wolfe's min-norm-point method
+(Gilbert 1966; Wolfe 1976) certifies both answers: convex weights on at
+most five range points that average to the origin, or a separating
+direction of the four-matrix Hermitian combination.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize, minimize_scalar
+from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, RankDecisionUnstable, TransformUnavailable
@@ -30,12 +32,7 @@ CERT_REL_TOL = 1e-8
 BOUNDARY_TOL = 1e-7
 INSIDE_SLACK = 1e-8
 DOUBLY_COMMUTE_REL_TOL = 1e-10
-
-
-def herm_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian and skew parts (H, K) with m = H + iK."""
-    m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2.0, (m - m.conj().T) / 2.0j
+HULL_MAX_ITERATIONS = 200
 
 
 def jnr_sample(a, b, count: int, seed: int) -> list[tuple[complex, complex]]:
@@ -278,12 +275,36 @@ class SeparationCertificate:
 
 
 @dataclass(frozen=True)
+class InsideCertificate:
+    """Unit vectors x_k (rows) and convex weights w_k with sum_k w_k W(x_k) = 0.
+
+    rho = sum_k w_k x_k x_k* is a density matrix with tr(A rho) = tr(B rho)
+    = 0 up to ``INSIDE_SLACK`` times the range's scale: at most 5 vectors
+    from the iteration, or the basis with weights 1/n when rho = I/n works.
+    """
+
+    vectors: np.ndarray
+    weights: np.ndarray
+
+    def is_valid(self, a, b) -> bool:
+        """Recompute the weighted range point from the vectors alone and test it."""
+        mats = _real_range_matrices(a, b)
+        w, unit = self.weights, np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-12
+        if len(w) == 0 or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12 or not unit.all():
+            return False
+        point = w @ np.array([_atom(mats, x) for x in self.vectors])
+        return np.linalg.norm(point) <= INSIDE_SLACK * max(np.linalg.norm(mats, axis=(1, 2)))
+
+
+@dataclass(frozen=True)
 class ConvHullMembership:
     """Outcome of the origin-in-convex-hull decision.
 
-    ``strongest_min`` is the maximal smallest eigenvalue over swept
-    directions: positive means separated (origin outside), nonpositive
-    means every direction reaches the origin (origin in the closed hull).
+    ``strongest_min`` is the best lower bound on dist(0, conv W(A, B))
+    found: the largest smallest eigenvalue of u1 H_A + u2 K_A + u3 H_B +
+    u4 K_B over the directions u tried (``direction``), 0 if none was.
+    ``iterations`` counts those eigenvalue oracle calls.  ``certificate``
+    proves an "outside" verdict, ``inside_certificate`` an "inside" one.
     """
 
     verdict: str  # "inside" | "outside" | "boundary"
@@ -291,84 +312,79 @@ class ConvHullMembership:
     direction: np.ndarray
     scale: float
     certificate: SeparationCertificate | None = None
+    inside_certificate: InsideCertificate | None = None
+    iterations: int = 0
 
 
 def _real_range_matrices(a, b) -> np.ndarray:
-    ha, ka = herm_parts(a)
-    hb, kb = herm_parts(b)
-    return np.stack([ha, ka, hb, kb])
+    """H_A, K_A, H_B, K_B with A = H_A + iK_A and B = H_B + iK_B, all Hermitian."""
+    m = np.stack([a, b]).astype(complex)
+    adjoint = m.conj().transpose(0, 2, 1)
+    herm, skew = (m + adjoint) / 2.0, (m - adjoint) / 2.0j
+    return np.stack([herm[0], skew[0], herm[1], skew[1]])
 
 
-def _sphere_lattice(count: int) -> np.ndarray:
-    """Low-discrepancy direction set on the unit 3-sphere.
-
-    Kronecker sequence with plastic-constant increments pushed through the
-    uniform parametrization of S^3 (double-polar form); deterministic.
-    """
-    g = 1.2207440846057596  # real root of x**3 = x + 1
-    alphas = np.array([1.0 / g, 1.0 / g**2, 1.0 / g**3])
-    i = np.arange(count)[:, None] + 0.5
-    t, p1, p2 = ((i * alphas) % 1.0).T
-    return np.stack(
-        [
-            np.sqrt(1.0 - t) * np.sin(2 * np.pi * p1),
-            np.sqrt(1.0 - t) * np.cos(2 * np.pi * p1),
-            np.sqrt(t) * np.sin(2 * np.pi * p2),
-            np.sqrt(t) * np.cos(2 * np.pi * p2),
-        ],
-        axis=1,
-    )
+def _atom(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The point (x* M_i x)_i of the joint range in R^4."""
+    return ((mats @ x) @ x.conj()).real
 
 
 def conv_hull_membership(
     a,
     b,
     tol: ToleranceConfig = DEFAULT_TOL,
-    directions: int = 2000,
     boundary_tol: float = BOUNDARY_TOL,
 ) -> ConvHullMembership:
-    """Decide whether the origin lies in the closed convex hull of W(A, B).
+    """Decide whether the origin lies in the closed convex hull K of W(A, B).
 
-    Sweeps the smallest eigenvalue of u1 H_A + u2 K_A + u3 H_B + u4 K_B
-    over a low-discrepancy lattice of directions and polishes the best
-    one.  A strictly positive optimum is a separation certificate; an
-    optimum within the boundary band stays inconclusive; anything at or
-    below the numerical zero slack means the origin is in the hull.
+    Wolfe's min-norm point (fully corrective Frank-Wolfe) in R^4, started
+    at the range point of rho = I/n.  At the point p of K, a unit
+    eigenvector x of the smallest eigenvalue of sum_i (p_i/|p|) M_i gives
+    the new atom (x* M_i x)_i; that eigenvalue bounds dist(0, K) from below.
+    The next p is the min-norm point of the active atoms' hull: NNLS on
+    [S; 1 ... 1] w = (0, 1), scaled to sum 1, drops atoms of zero weight.
+    A bound above ``boundary_tol`` times the scale is "outside", |p| within
+    ``INSIDE_SLACK`` times it "inside", and a gap |p| - bound at rounding
+    level or ``HULL_MAX_ITERATIONS`` calls "boundary".
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
+    n = a.shape[0]
     mats = _real_range_matrices(a, b)
-    scale = max(float(np.linalg.norm(m)) for m in mats)
-    if scale <= 0.0:
-        return ConvHullMembership("inside", 0.0, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
-
-    def lam_min(u):
-        u = u / np.linalg.norm(u)
-        return float(np.linalg.eigvalsh(np.tensordot(u, mats, axes=1))[0])
-
-    grid = _sphere_lattice(max(directions, 8))
-    values = np.array([lam_min(u) for u in grid])
-    order = np.argsort(values)[::-1]
-    best_val = values[order[0]]
-    best_dir = grid[order[0]]
-    for idx in order[:3]:
-        res = minimize(
-            lambda u: -lam_min(u),
-            grid[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_dir = res.x / np.linalg.norm(res.x)
-    if best_val > boundary_tol * scale:
-        cert = SeparationCertificate(direction=best_dir, margin=float(best_val))
-        return ConvHullMembership("outside", float(best_val), best_dir, scale, cert)
-    if best_val > INSIDE_SLACK * scale:
-        return ConvHullMembership("boundary", float(best_val), best_dir, scale)
-    return ConvHullMembership("inside", float(best_val), best_dir, scale)
+    scale = float(max(np.linalg.norm(mats, axis=(1, 2))))
+    point = np.trace(mats, axis1=1, axis2=2).real / max(n, 1)
+    norm = float(np.linalg.norm(point))
+    if norm <= INSIDE_SLACK * scale:
+        cert = InsideCertificate(np.eye(n, dtype=complex), np.full(n, 1.0 / max(n, 1)))
+        return ConvHullMembership("inside", 0.0, np.eye(4)[0], scale, inside_certificate=cert)
+    gap_floor = 100.0 * n * np.finfo(float).eps * scale  # rounding in eigh and NNLS
+    vectors, atoms = np.empty((0, n), dtype=complex), np.empty((0, 4))
+    best, best_dir = -np.inf, point / norm
+    for iteration in range(1, HULL_MAX_ITERATIONS + 1):
+        values, eigvecs = np.linalg.eigh(np.tensordot(point / norm, mats, axes=1))
+        if values[0] > best:
+            best, best_dir = float(values[0]), point / norm
+        if best > boundary_tol * scale:
+            cert = SeparationCertificate(direction=best_dir, margin=best)
+            return ConvHullMembership("outside", best, best_dir, scale, cert, iterations=iteration)
+        if norm - values[0] <= gap_floor:
+            break
+        vectors = np.vstack([vectors, eigvecs[:, 0]])
+        atoms = np.vstack([atoms, _atom(mats, eigvecs[:, 0])])
+        try:
+            weights = nnls(np.vstack([atoms.T / scale, np.ones(len(atoms))]), np.eye(5)[4])[0]
+        except RuntimeError:  # Lawson-Hanson's iteration limit: leave it undecided
+            break
+        keep = weights > 0.0
+        vectors, atoms, weights = vectors[keep], atoms[keep], weights[keep] / weights.sum()
+        point = weights @ atoms
+        norm = float(np.linalg.norm(point))
+        if norm <= INSIDE_SLACK * scale:
+            cert = InsideCertificate(vectors, weights)
+            return ConvHullMembership("inside", best, best_dir, scale, inside_certificate=cert,
+                                      iterations=iteration)
+    return ConvHullMembership("boundary", best, best_dir, scale, iterations=iteration)
 
 
 def pencil_nr_is_plane(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -376,38 +392,17 @@ def pencil_nr_is_plane(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return conv_hull_membership(a, b, tol).verdict in ("inside", "boundary")
 
 
-def nr_contains(p: Pencil, lam0: complex, tol: ToleranceConfig = DEFAULT_TOL,
-                grid: int = 360) -> bool:
+def nr_contains(p: Pencil, lam0: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether 0 lies in the (convex) numerical range of A + lam0 B.
 
-    Sweeps the smallest eigenvalue of the rotated Hermitian part over
-    directions of the complex plane and polishes the maximum; the origin
-    belongs to the range exactly when no direction separates it.
+    The numerical range of M = A + lam0 B is W(M, 0) read in its first two
+    coordinates, so this is :func:`conv_hull_membership` of (M, 0), at the
+    same scale and slack.
     """
     if not p.is_square:
         raise ValueError(f"numerical range needs a square pencil, got {p.shape}")
     m = p.at(complex(lam0))
-    h, k = herm_parts(m)
-    scale = max(float(np.linalg.norm(h)), float(np.linalg.norm(k)))
-    if scale <= 0.0 or p.rows == 0:
-        return True
-
-    def lam_min(theta):
-        return float(np.linalg.eigvalsh(np.cos(theta) * h + np.sin(theta) * k)[0])
-
-    thetas = np.linspace(0.0, 2 * np.pi, max(grid, 8), endpoint=False)
-    values = np.array([lam_min(t) for t in thetas])
-    best_idx = int(np.argmax(values))
-    step = 2 * np.pi / len(thetas)
-    center = thetas[best_idx]
-    res = minimize_scalar(
-        lambda t: -lam_min(t),
-        bounds=(center - step, center + step),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    best = max(float(values[best_idx]), float(-res.fun))
-    return best <= INSIDE_SLACK * scale
+    return conv_hull_membership(m, np.zeros_like(m), tol).verdict == "inside"
 
 
 def is_doubly_commuting(a, b, rel_tol: float = DOUBLY_COMMUTE_REL_TOL) -> bool:

@@ -35,6 +35,11 @@ class TestAnalyze:
         points = {(round(p["z1"][0]), round(p["z2"][0])) for p in report["taylor_spectrum"]}
         assert points == {(1, 2), (-1, -2)}
         assert [p["multiplicity"] for p in report["taylor_spectrum"]] == [1, 1]
+        # the trace point of I/2 is the origin, so no oracle call is needed
+        membership = report["membership"]
+        assert membership["verdict"] == "inside"
+        assert membership["iterations"] == 0
+        assert membership["inside_weights"] == [0.5, 0.5]
 
     def test_zero_pencil_all_true(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)

@@ -95,3 +95,21 @@ class TestDeterministicDump:
         payload = {"v": np.bool_(True), "k": np.int64(3), "x": np.float64(0.5)}
         doc = json.loads(plio.dumps(payload))
         assert doc == {"v": True, "k": 3, "x": 0.5}
+
+
+class TestMembershipJson:
+    def test_outside_fields(self):
+        doc = plio.membership_to_json(pl.conv_hull_membership(np.eye(2), np.eye(2)))
+        assert doc["verdict"] == "outside"
+        assert doc["iterations"] >= 1
+        assert doc["separation_margin"] > 0.0
+        assert "inside_weights" not in doc
+
+    def test_inside_weights(self):
+        a, b = np.diag([1.0, -1.0, 0.5]), np.diag([1.0, 1.0, -2.0])
+        res = pl.conv_hull_membership(a, b)
+        doc = plio.membership_to_json(res)
+        assert doc["verdict"] == "inside"
+        assert doc["iterations"] == res.iterations >= 1
+        assert doc["inside_weights"] == [float(w) for w in res.inside_certificate.weights]
+        assert abs(sum(doc["inside_weights"]) - 1.0) < 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import schur
+from scipy.optimize import linprog
 
 import pencillab as pl
 from pencillab.generators import random_doubly_commuting_pair, random_singular_pencil
@@ -120,6 +122,60 @@ class TestConvHull:
         res = pl.conv_hull_membership(a, np.zeros((2, 2)))
         assert res.verdict in ("inside", "boundary")
 
+    def test_fixture_inside_certificate(self):
+        a, b = np.diag([1.0, -1.0]), np.diag([2.0, -2.0])
+        res = pl.conv_hull_membership(a, b)
+        cert = res.inside_certificate
+        assert cert is not None and cert.is_valid(a, b)
+        # moving weight off the balanced pair leaves the origin
+        tampered = pl.InsideCertificate(cert.vectors, np.array([0.75, 0.25]))
+        assert not tampered.is_valid(a, b)
+
+    def test_boundary_corpus_inside(self):
+        # A >= 0 with A e = 0 and e*Be = 0: the origin is the range point of
+        # e, on a curved part of the hull's boundary
+        for a, b in _boundary_corpus(np.random.default_rng(20241), 60):
+            res = pl.conv_hull_membership(a, b)
+            assert res.verdict == "inside"
+            assert res.inside_certificate.is_valid(a, b)
+            assert len(res.inside_certificate.weights) <= 5
+
+    def test_near_miss_reads_boundary(self):
+        # the range clears the origin by 1e-7, inside the boundary band
+        a, b = np.diag([1e-7, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = pl.conv_hull_membership(a, b)
+        assert res.verdict == "boundary"
+        assert res.certificate is None and res.inside_certificate is None
+        assert res.strongest_min == pytest.approx(1e-7, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros((3, 3)), np.zeros((3, 3))),
+            (np.outer([1.0, 2.0, 0.0], [1.0, 2.0, 0.0]), np.zeros((3, 3))),
+            (np.outer([1.0, 1j, 0.0], [1.0, -1j, 0.0]), np.outer([0.0, 1.0, 1.0], [0.0, 1.0, 1.0])),
+            (np.eye(3), np.eye(3)),
+            (np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 1.0, -3.0])),
+            (np.eye(4), -np.eye(4)),
+        ],
+        ids=["zero", "rank-one", "two-rank-ones", "identity", "repeated-min", "opposite"],
+    )
+    def test_degenerate_inputs_certified(self, a, b):
+        _assert_certified(pl.conv_hull_membership(a, b), a, b)
+
+    def test_every_verdict_certified(self):
+        rng = np.random.default_rng(20242)
+        verdicts = set()
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            shift = (i % 4) * 0.5
+            a = shift * np.eye(n) + complex_matrix(rng, n, n)
+            b = shift * np.eye(n) + complex_matrix(rng, n, n)
+            res = pl.conv_hull_membership(a, b)
+            verdicts.add(res.verdict)
+            _assert_certified(res, a, b)
+        assert verdicts == {"inside", "outside"}
+
     def test_sample_consistency(self, rng):
         # outside verdicts must dominate every sampled range point
         a = np.eye(3) + 0.1 * complex_matrix(rng, 3, 3)
@@ -165,6 +221,57 @@ class TestNrContains:
             for im in grid:
                 assert pl.nr_contains(p, complex(re, im), tol)
 
+    def test_normal_matrix_agrees_with_eigenvalue_hull(self):
+        # the numerical range of a normal matrix is the hull of its eigenvalues
+        rng = np.random.default_rng(20243)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            a, b = random_doubly_commuting_pair(rng, n)
+            lam0 = complex(rng.standard_normal(), rng.standard_normal())
+            eigs = np.linalg.eigvals(a + lam0 * b)
+            expected = _hull_feasible([eigs])
+            assert pl.nr_contains(pl.Pencil(a, b), lam0) == expected
+
+
+def _assert_certified(res, a, b):
+    if res.verdict == "outside":
+        assert res.certificate.is_valid(a, b)
+    else:
+        assert res.verdict == "inside"
+        assert res.inside_certificate.is_valid(a, b)
+
+
+def _hull_feasible(coordinates) -> bool:
+    """Whether the origin is a convex combination of the given complex points.
+
+    ``coordinates`` lists arrays of equal length, one per complex coordinate.
+    """
+    rows = [part(z) for z in coordinates for part in (np.real, np.imag)]
+    count = len(rows[0])
+    lp = linprog(
+        np.zeros(count),
+        A_eq=np.vstack(rows + [np.ones(count)]),
+        b_eq=np.r_[np.zeros(len(rows)), 1.0],
+        bounds=(0, None),
+        method="highs",
+    )
+    return lp.status == 0
+
+
+def _boundary_corpus(rng, count):
+    """Pairs whose origin lies on a curved part of the boundary of conv W(A, B)."""
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        g = complex_matrix(rng, n - 1, n - 1)
+        a = np.zeros((n, n), dtype=complex)
+        a[1:, 1:] = g @ g.conj().T
+        b = complex_matrix(rng, n, n)
+        b[0, 0] = 0.0
+        q, _ = np.linalg.qr(complex_matrix(rng, n, n))
+        pairs.append((q @ a @ q.conj().T, q @ b @ q.conj().T))
+    return pairs
+
 
 class TestDoublyCommuting:
     def test_normal_pair_detected(self, rng):
@@ -179,8 +286,9 @@ class TestDoublyCommuting:
         assert not pl.is_doubly_commuting(a, np.eye(2) + a)
 
     def test_convexity_equivalence(self, rng, tol):
-        # doubly commuting pairs: plane range holds exactly when a
-        # certificate is findable by search
+        # doubly commuting pairs: the joint range is the hull of the joint
+        # eigenvalues, so an LP over them decides the verdict; an inside
+        # pair has an isotropic vector, an outside pair a separating direction
         for i in range(6):
             a, b = random_doubly_commuting_pair(rng, 3)
             if i % 2 == 0:
@@ -190,7 +298,14 @@ class TestDoublyCommuting:
                 a = a - (z.conj() @ a @ z) * np.eye(3)
                 b = b - (z.conj() @ b @ z) * np.eye(3)
             assert pl.is_doubly_commuting(a, b)
-            plane = pl.pencil_nr_is_plane(a, b, tol)
-            cert = pl.isotropic_search(a, b, tol, restarts=2000)
-            found = cert is not None and cert.is_valid(a, b)
-            assert plane == found
+            # a normal matrix with distinct eigenvalues has a unitary Schur basis
+            _, q = schur(a + np.pi * b, output="complex")
+            joint = (np.diag(q.conj().T @ a @ q), np.diag(q.conj().T @ b @ q))
+            res = pl.conv_hull_membership(a, b, tol)
+            if _hull_feasible(joint):
+                assert res.verdict == "inside"
+                cert = pl.isotropic_search(a, b, tol, restarts=2000)
+                assert cert is not None and cert.is_valid(a, b)
+            else:
+                assert res.verdict == "outside"
+                assert res.certificate.is_valid(a, b)
