@@ -63,7 +63,7 @@ class NotSingular(PencilLabError):
 
 
 class TransformUnavailable(PencilLabError):
-    """No numerically trustworthy equivalence transforms could be produced."""
+    """No numerically trustworthy transforms or constructive certificate could be produced."""
 
 
 class EqualityConditionFails(PencilLabError):

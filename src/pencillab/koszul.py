@@ -274,7 +274,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
 
     certificate = None
     if cond_i:
-        certificate = numrange._singular_certificate(p, tol)
+        certificate = numrange._singular_certificate(p)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
         certificate = numrange.isotropic_search(a, b, tol, restarts=ISOTROPIC_SEARCH_RESTARTS)
     cond_ii = certificate is not None and certificate.is_valid(a, b)

@@ -628,14 +628,14 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
 # ---------------------------------------------------------------------------
 # equivalence transforms to a known canonical form
 
+TRANSFORM_DRAWS = 12  # random nullspace elements tried
+TRANSFORM_MAX_COND = 1e8  # largest condition number accepted for S and R
+
 
 def equivalence_transforms(
     p: Pencil,
     target: Pencil,
     tol: ToleranceConfig = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-    tries: int = 12,
-    max_cond: float = 1e8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invertible (S, T) with S (A + lam B) T equal to the target pencil.
 
@@ -652,8 +652,7 @@ def equivalence_transforms(
     n = p.rows
     if n == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    if rng is None:
-        rng = np.random.default_rng(tol.rng_seed ^ 0x7A115)
+    rng = np.random.default_rng(tol.rng_seed ^ 0x7A115)
     n2 = n * n
     k = np.zeros((2 * n2, 2 * n2), dtype=complex)
     basis = np.zeros((n, n), dtype=complex)
@@ -671,12 +670,12 @@ def equivalence_transforms(
         raise TransformUnavailable("intertwining system has no nullspace; pencils not equivalent")
     null = vh[2 * n2 - null_dim :].conj().T
     scale = max(target.norm_scale(), 1.0)
-    for _ in range(tries):
+    for _ in range(TRANSFORM_DRAWS):
         w = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
         x = null @ w
         s = x[:n2].reshape(n, n)
         rmat = x[n2:].reshape(n, n)
-        if np.linalg.cond(s) > max_cond or np.linalg.cond(rmat) > max_cond:
+        if np.linalg.cond(s) > TRANSFORM_MAX_COND or np.linalg.cond(rmat) > TRANSFORM_MAX_COND:
             continue
         t = np.linalg.inv(rmat)
         err = max(
@@ -686,6 +685,6 @@ def equivalence_transforms(
         if err <= 1e-8 * scale:
             return s, t
     raise TransformUnavailable(
-        f"no well-conditioned transforms found in {tries} draws from a "
+        f"no well-conditioned transforms found in {TRANSFORM_DRAWS} draws from a "
         f"{null_dim}-dimensional intertwining space"
     )

@@ -1,12 +1,13 @@
 """Joint numerical range tests and isotropic-vector certificates.
 
 Membership of the origin in the joint numerical range W(A, B) is
-certified constructively (common kernel vector, or the Kronecker-form
-reduction for singular pencils) or by randomized local search; absence is
-claimed only through the convex hull, where Wolfe's min-norm-point method
-(Gilbert 1966; Wolfe 1976) certifies both answers: convex weights on at
-most five range points that average to the origin, or a separating
-direction of the four-matrix Hermitian combination.
+certified constructively for singular pencils, from a least-degree
+polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
+regular pairs only by randomized local search; absence is claimed only
+through the convex hull, where Wolfe's min-norm-point method (Gilbert
+1966; Wolfe 1976) certifies both answers: convex weights on at most five
+range points that average to the origin, or a separating direction of the
+four-matrix Hermitian combination.
 """
 
 from __future__ import annotations
@@ -17,15 +18,8 @@ import numpy as np
 from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NotSingular, RankDecisionUnstable, TransformUnavailable
-from .kronecker import (
-    build_block,
-    direct_sum,
-    equivalence_transforms,
-    is_singular,
-    staircase_structure,
-)
-from .linalg import null_space
+from .errors import NotSingular, TransformUnavailable
+from .kronecker import _toeplitz_resultant, is_singular
 from .pencil import Pencil, as_matrix
 
 CERT_REL_TOL = 1e-8
@@ -33,6 +27,7 @@ BOUNDARY_TOL = 1e-7
 INSIDE_SLACK = 1e-8
 DOUBLY_COMMUTE_REL_TOL = 1e-10
 HULL_MAX_ITERATIONS = 200
+SEARCH_TARGET_REL = 1e-11
 
 
 def jnr_sample(a, b, count: int, seed: int) -> list[tuple[complex, complex]]:
@@ -59,8 +54,10 @@ def jnr_sample(a, b, count: int, seed: int) -> list[tuple[complex, complex]]:
 class IsotropicCertificate:
     """Unit vector with both quadratic-form residuals, plus its provenance.
 
-    ``method`` is one of ``"kernel"``, ``"kronecker-constructive"``,
-    ``"random-search"``.
+    ``method`` is ``"kernel"`` (a common kernel vector) or
+    ``"kronecker-constructive"`` (a polynomial kernel vector of degree >= 1)
+    from :func:`isotropic_from_singular`, and ``"random-search"`` only from
+    :func:`isotropic_search`.
     """
 
     vector: np.ndarray
@@ -128,15 +125,13 @@ def isotropic_search(
     b,
     tol: ToleranceConfig = DEFAULT_TOL,
     restarts: int = 200,
-    seed: int | None = None,
-    target_rel: float = 1e-11,
 ) -> IsotropicCertificate | None:
     """Randomized search for a common isotropic unit vector.
 
     Gauss-Newton polishing of the two complex quadratic forms from random
-    starts; returns the first certificate below ``target_rel`` residuals,
-    the best valid one otherwise, or None when the search found nothing
-    acceptable (which proves nothing about non-membership).
+    starts; returns the first certificate below ``SEARCH_TARGET_REL``
+    residuals, the best valid one otherwise, or None when the search found
+    nothing acceptable (which proves nothing about non-membership).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -149,7 +144,7 @@ def isotropic_search(
         x = np.zeros(n, dtype=complex)
         x[0] = 1.0
         return _certificate(a, b, x, "random-search")
-    rng = np.random.default_rng(tol.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(tol.rng_seed)
     resid, jac = _search_residual_functions(a, b)
     best: IsotropicCertificate | None = None
     for _ in range(restarts):
@@ -164,7 +159,7 @@ def isotropic_search(
             best.residual_a / sa + best.residual_b / sb
         ):
             best = cert
-        if cert.residual_a <= target_rel * sa and cert.residual_b <= target_rel * sb:
+        if cert.residual_a <= SEARCH_TARGET_REL * sa and cert.residual_b <= SEARCH_TARGET_REL * sb:
             return cert
     if best is not None and best.is_valid(a, b):
         return best
@@ -174,86 +169,39 @@ def isotropic_search(
 def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> IsotropicCertificate:
     """Common isotropic vector of the coefficients of a singular pencil.
 
-    Follows the constructive proof: a common kernel vector when one
-    exists; otherwise reduce to a leading diag(L_e, L_d^T) corner with
-    equivalence transforms, pick the corner vector orthogonal to the
-    relevant rows of T^-1 S*, and push it back through S*.  When the
-    transforms cannot be trusted, falls back to randomized search; the
-    certificate's ``method`` field records which path produced it.
+    For k = 0, 1, ..., n, X = [x_0 ... x_k] is the smallest singular vector
+    of the degree-k kernel resultant of (A, rho B), and x = X c with
+    R* X c = 0 for R = B [x_0 ... x_(k-1)]; the first valid x is returned.
+    At the least column minimal index X is a minimal polynomial kernel
+    vector, so A X and B X lie in span R and x* A x = x* B x = 0.
     """
     if not p.is_square:
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
     if not is_singular(p, tol):
         raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
-    return _singular_certificate(p, tol)
+    return _singular_certificate(p)
 
 
-def _singular_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate:
+def _singular_certificate(p: Pencil) -> IsotropicCertificate:
     """The body of :func:`isotropic_from_singular` for a pencil known to be singular."""
     a, b = p.a, p.b
-
-    kernel = null_space(np.vstack([a, b]), tol)
-    if kernel.shape[1] > 0:
-        cert = _certificate(a, b, kernel[:, 0], "kernel")
+    n = p.cols
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
+    q = Pencil(a, rho * b)
+    for k in range(n + 1):
+        x_mat = np.linalg.svd(_toeplitz_resultant(q, k))[2][-1].conj().reshape(k + 1, n).T
+        if k == 0:
+            x = x_mat[:, 0]
+        else:
+            r = q.b @ x_mat[:, :k]
+            x = x_mat @ np.linalg.svd(r.conj().T @ x_mat)[2][-1].conj()
+        cert = _certificate(a, b, x, "kernel" if k == 0 else "kronecker-constructive")
         if cert.is_valid(a, b):
             return cert
-
-    cert = _constructive_certificate(p, tol)
-    if cert is not None and cert.is_valid(a, b):
-        return cert
-
-    cert = isotropic_search(a, b, tol, restarts=600)
-    if cert is not None and cert.is_valid(a, b):
-        return cert
     raise TransformUnavailable(
-        "no trustworthy Kronecker transforms and randomized search failed; "
-        "cannot certify the guaranteed isotropic vector"
+        f"no polynomial kernel vector of degree <= {n} gives a valid isotropic certificate"
     )
-
-
-def _constructive_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate | None:
-    try:
-        structure = staircase_structure(p, tol)
-    except RankDecisionUnstable:
-        return None
-    if not structure.col_minimal or not structure.row_minimal:
-        return None
-    eps1 = structure.col_minimal[0][0]
-    del1 = structure.row_minimal[0][0]
-
-    remaining: list[Pencil] = []
-    col_left = list(structure.col_minimal)
-    col_left[0] = (eps1, col_left[0][1] - 1)
-    row_left = list(structure.row_minimal)
-    row_left[0] = (del1, row_left[0][1] - 1)
-    for d, mult in row_left:
-        remaining.extend(build_block("L_transpose", d) for _ in range(mult))
-    for e, mult in col_left:
-        remaining.extend(build_block("L", e) for _ in range(mult))
-    for size, lam in structure.jordan:
-        remaining.append(build_block("jordan", size, lam))
-    for size in structure.nilpotent:
-        remaining.append(build_block("nilpotent", size))
-    target = direct_sum(
-        [build_block("L", eps1), build_block("L_transpose", del1)] + remaining
-    )
-    try:
-        s, t = equivalence_transforms(p, target, tol)
-    except TransformUnavailable:
-        return None
-    x_mat = np.linalg.inv(t) @ s.conj().T
-    rows = range(eps1 + 1, eps1 + del1 + 1)
-    cols = range(eps1, eps1 + del1 + 1)
-    constraints = x_mat[np.ix_(list(rows), list(cols))]
-    v_basis = null_space(constraints, tol)
-    if v_basis.shape[1] == 0:
-        return None
-    w = np.zeros(p.rows, dtype=complex)
-    w[eps1 : eps1 + del1 + 1] = v_basis[:, 0]
-    x = s.conj().T @ w
-    if np.linalg.norm(x) < 1e-12:
-        return None
-    return _certificate(p.a, p.b, x, "kronecker-constructive")
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TestIsotropicFromSingular:
         p, _ = pl.scramble(pl.assemble(s), seed=17)
         cert = pl.isotropic_from_singular(p)
         assert cert.is_valid(p.a, p.b)
-        assert cert.method in ("kronecker-constructive", "random-search")
+        assert cert.method == "kronecker-constructive"
         # no common kernel here, so the kernel path must not have fired
         assert cert.method != "kernel"
 
@@ -96,6 +96,37 @@ class TestIsotropicFromSingular:
             assert cert.is_valid(p.a, p.b)
             checked += 1
         assert checked == 30
+
+    def test_scaled_b_never_searches(self, tol):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            p, _ = random_singular_pencil(rng, max_size=12)
+            p = pl.Pencil(p.a, p.b * 10.0 ** rng.uniform(-3.0, 3.0))
+            cert = pl.isotropic_from_singular(p, tol)
+            assert cert.is_valid(p.a, p.b)
+            assert cert.method in ("kernel", "kronecker-constructive")
+
+    @pytest.mark.parametrize(
+        "eps, delta, extra, seed",
+        [
+            (5, 5, None, 0),
+            (5, 8, None, 1),
+            (10, 5, None, 2),
+            (6, 7, "nilpotent", 3),
+            (9, 6, "jordan", 4),
+            (10, 10, "jordan", 5),
+        ],
+    )
+    def test_large_minimal_indices(self, tol, eps, delta, extra, seed):
+        blocks = [pl.build_block("L", eps), pl.build_block("L_transpose", delta)]
+        if extra == "nilpotent":
+            blocks.append(pl.build_block("nilpotent", 2))
+        elif extra == "jordan":
+            blocks.append(pl.build_block("jordan", 2, 0.5 - 0.3j))
+        p, _ = pl.scramble(pl.direct_sum(blocks), seed, max_cond=100.0)
+        cert = pl.isotropic_from_singular(p, tol)
+        assert cert.method == "kronecker-constructive"
+        assert cert.is_valid(p.a, p.b)
 
     def test_chain_on_corpus(self, rng, tol):
         for i in range(15):
