@@ -85,7 +85,6 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
             "rank_rel_tol": tol.rank_rel_tol,
             "det_zero_tol": tol.det_zero_tol,
             "eig_cluster_tol": tol.eig_cluster_tol,
-            "sample_count": tol.sample_count,
         },
         "seed": tol.rng_seed,
     }
@@ -105,6 +104,9 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
             # null when every singular value is exactly zero (unbounded margin)
             "rank_margin": verdict.rank_margin if np.isfinite(verdict.rank_margin) else None,
             "max_det_ratio": verdict.max_det_ratio,
+            "deciding_node": plio.complex_to_json(verdict.deciding_node),
+            # null for the empty pencil, which has no node
+            "sigma_min": verdict.sigma_min if np.isfinite(verdict.sigma_min) else None,
         }
         report["coefficients_commute"] = commuting
         if conditions is not None:

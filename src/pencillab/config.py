@@ -24,18 +24,14 @@ class ToleranceConfig:
         the cutoff makes the decision untrustworthy.
     det_zero_tol
         Cutoff for a vanishing determinant at a sweep node lam: the
-        determinant counts as zero when the smallest LU pivot of
-        A + lam B is below ``det_zero_tol * max(largest pivot,
-        |A| + |lam| |B|)``.
+        determinant counts as zero when the smallest magnitude on the QR
+        diagonal of A + lam B is below ``det_zero_tol * max(largest
+        magnitude on it, |A| + |lam| |B|)``.
     eig_cluster_tol
         Relative tolerance for comparing two given spectrum points
         (``structures_match`` allows 100 times it).  It sets no
         clustering radius: eigenvalue clusters come from each
         eigenvalue's own perturbation disc.
-    sample_count
-        Number of sample nodes for determinant/rank sweeps over the
-        pencil parameter; raised internally to ``2 * max(rows) + 2``
-        whenever determinant sampling needs more.
     rng_seed
         Seed for every internal randomized step (projections, searches),
         so results are reproducible.
@@ -44,7 +40,6 @@ class ToleranceConfig:
     rank_rel_tol: float = 1e-10
     det_zero_tol: float = 1e-9
     eig_cluster_tol: float = 1e-8
-    sample_count: int = 64
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +47,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.sample_count < 2:
-            raise ValueError(f"sample_count must be >= 2, got {self.sample_count!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
 

@@ -58,16 +58,15 @@ class KoszulAssessment:
 def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL) -> KoszulAssessment:
     """Exactness assessment of the pair shifted by (z1, z2).
 
-    Rank cutoffs are anchored to the unshifted pair's magnitude so that a
-    shift annihilating a coefficient entirely still reads as deficient.
+    The ranks are those of :func:`_shifted_blocks` with the cutoff anchored
+    at 1, so a shift annihilating a coefficient entirely still reads as
+    deficient and neither coefficient's scale swamps the other's.
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
-    sa = a - complex(z1) * np.eye(n)
-    sb = b - complex(z2) * np.eye(n)
-    scale = _pair_scale(a, b, z1, z2)
-    rank_d1 = numerical_rank(np.vstack([sa, sb]), tol, scale=scale)
-    rank_d2 = numerical_rank(np.hstack([-sb, sa]), tol, scale=scale)
+    sa, sb = _shifted_blocks(a, b, z1, z2)
+    rank_d1 = numerical_rank(np.vstack([sa, sb]), tol, scale=1.0)
+    rank_d2 = numerical_rank(np.hstack([-sb, sa]), tol, scale=1.0)
     return KoszulAssessment(
         point=(complex(z1), complex(z2)),
         rank_d1=rank_d1,
@@ -95,18 +94,22 @@ def _close(p, q, tol: ToleranceConfig) -> bool:
     return all(abs(x - y) <= tol.eig_cluster_tol * max(1.0, abs(x)) for x, y in zip(p, q))
 
 
-def _pair_scale(a, b, z1: complex = 0.0, z2: complex = 0.0) -> float:
-    return max(float(np.linalg.norm(a)), float(np.linalg.norm(b))) * max(
-        1.0, abs(z1), abs(z2)
+def _shifted_blocks(a, b, z1: complex, z2: complex) -> tuple[np.ndarray, np.ndarray]:
+    """A - z1 I and B - z2 I, each divided by its own term size |M|_F + |z| sqrt(n)."""
+    n = a.shape[0]
+    return tuple(
+        (m - complex(z) * np.eye(n))
+        / max(float(np.linalg.norm(m)) + abs(z) * np.sqrt(n), np.finfo(float).tiny)
+        for m, z in ((a, z1), (b, z2))
     )
 
 
 def _common_eigenvector(a, b, z1, z2, tol: ToleranceConfig):
     """Smallest singular direction of the stacked shifted pair, which must be deficient."""
     n = a.shape[0]
-    stacked = np.vstack([a - z1 * np.eye(n), b - z2 * np.eye(n)])
+    stacked = np.vstack(_shifted_blocks(a, b, z1, z2))
     u, s, v = svd(stacked)
-    if rank_decision(s, stacked.shape, _pair_scale(a, b, z1, z2), tol)[0] >= n:
+    if rank_decision(s, stacked.shape, 1.0, tol)[0] >= n:
         raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
     return np.ascontiguousarray(v[:, -1])
 
@@ -179,8 +182,9 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     joint point: one :func:`is_singular` sweep per point.  Completeness and
     multiplicities: det((A - z) + lam B) = prod_k (z1_k - z + lam z2_k)^(m_k)
     to ``det_zero_tol`` relative at n + 1 nodes, the left side from one
-    batched LU, with z = twice the node anchor |A| + |lam| |B|, beyond every
-    eigenvalue of A + lam B.  A failure raises :class:`OracleDisagreement`.
+    batched ``numpy.linalg.det``, with z = twice the node anchor
+    |A| + |lam| |B|, beyond every eigenvalue of A + lam B.  A failure
+    raises :class:`OracleDisagreement`.
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]

@@ -299,26 +299,31 @@ def _staircase_rank(m: np.ndarray, tol: ToleranceConfig, context: str, scale: fl
     return int(rank)
 
 
-def _pencil_sample_nodes(p: Pencil, tol: ToleranceConfig) -> np.ndarray:
-    count = max(tol.sample_count, 2 * max(p.rows, p.cols) + 2)
-    return det_sample_nodes(p, count)
+def _pencil_sample_nodes(p: Pencil) -> np.ndarray:
+    """max(rows, cols) + 1 nodes: more than the points where A + lam B can lose rank."""
+    return det_sample_nodes(p, max(p.rows, p.cols) + 1)
 
 
 def normal_rank(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float]:
     """Normal rank of A + lam B and the rank margin at the node deciding it."""
     if p.a.size == 0:
         return 0, float("inf")
-    return _rank_sweep(*node_stack(p, _pencil_sample_nodes(p, tol)), tol)
+    return _rank_sweep(*node_stack(p, _pencil_sample_nodes(p)), tol)[:2]
 
 
-def _rank_sweep(stack: np.ndarray, anchors: np.ndarray, tol: ToleranceConfig) -> tuple[int, float]:
-    """Largest clean rank over a :func:`~pencillab.linalg.node_stack`, and its margin.
+def _rank_sweep(
+    stack: np.ndarray, anchors: np.ndarray, tol: ToleranceConfig
+) -> tuple[int, float, int, float]:
+    """Largest clean rank over a :func:`~pencillab.linalg.node_stack`, and its deciding node.
 
     One batched SVD serves every node.  Nodes whose margin lies within
     ``RANK_GUARD`` are skipped; :class:`RankDecisionUnstable` is raised
-    only when no node decides cleanly.
+    only when no node decides cleanly.  Returns (rank, margin, index and
+    smallest singular value of the node with that rank and the widest
+    margin).
     """
-    ranks, cutoffs, margins = rank_decision(singular_values(stack), stack.shape[1:], anchors, tol)
+    sigma = singular_values(stack)
+    ranks, cutoffs, margins = rank_decision(sigma, stack.shape[1:], anchors, tol)
     clean = margins > RANK_GUARD
     if not clean.any():
         k = int(np.argmax(margins))
@@ -328,7 +333,8 @@ def _rank_sweep(stack: np.ndarray, anchors: np.ndarray, tol: ToleranceConfig) ->
             threshold=float(cutoffs[k]),
         )
     r = ranks[clean].max()
-    return int(r), float(margins[clean & (ranks == r)].max())
+    k = int(np.argmax(np.where(clean & (ranks == r), margins, 0.0)))
+    return int(r), float(margins[k]), k, float(sigma[k, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +576,12 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
 
 @dataclass(frozen=True)
 class SingularityEvidence:
-    """Two-channel singularity verdict for a square pencil."""
+    """Two-channel singularity verdict for a square pencil.
+
+    ``deciding_node`` is the node lam* that decided the normal rank and
+    ``sigma_min`` the smallest singular value of A + lam* B; on a regular
+    verdict it is an invertible point, which proves regularity.
+    """
 
     singular: bool
     rank_verdict: bool
@@ -580,6 +591,8 @@ class SingularityEvidence:
     dimension: int
     max_det_ratio: float
     node_count: int
+    deciding_node: complex
+    sigma_min: float
 
     def __bool__(self) -> bool:
         return self.singular
@@ -591,25 +604,32 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
     Two independent decision channels must agree: rank deficiency of
     A + lam B across the whole node sweep (:func:`normal_rank`, the
     staircase's minimal-block witness) and negligibility of every sampled
-    determinant (LU pivots, :func:`~pencillab.linalg.det_zero_sweep`), both
-    read off one node stack.  Disagreement raises
+    determinant (QR diagonal, :func:`~pencillab.linalg.det_zero_sweep`),
+    both read off one node stack.  Disagreement raises
     :class:`InconsistentSingularityEvidence`, and a sweep without one clean
     node raises :class:`RankDecisionUnstable`.
+
+    n + 1 distinct nodes decide an n x n pencil: a regular pencil's
+    determinant is a nonzero polynomial of degree at most n, so at most n
+    nodes can sit on its eigenvalues and at least one node has full rank
+    and a nonzero determinant, while a singular pencil loses rank at every
+    node (Van Dooren, LAA 1979).
     """
     if not p.is_square:
         raise ValueError(f"singularity is defined for square pencils, got {p.shape}")
     n = p.rows
     if n == 0:
-        return SingularityEvidence(False, False, False, 0, float("inf"), 0, 0.0, 0)
-    nodes = _pencil_sample_nodes(p, tol)
+        return SingularityEvidence(False, False, False, 0, float("inf"), 0, 0.0, 0, 0j,
+                                   float("inf"))
+    nodes = _pencil_sample_nodes(p)
     stack, anchors = node_stack(p, nodes)
-    r, margin = _rank_sweep(stack, anchors, tol)
+    r, margin, k, sigma_min = _rank_sweep(stack, anchors, tol)
     rank_verdict = r < n
     det_verdict, worst_ratio = det_zero_sweep(stack, anchors, tol)
     if rank_verdict != det_verdict:
         raise InconsistentSingularityEvidence(
             f"rank sweep says singular={rank_verdict} but determinant sweep says "
-            f"singular={det_verdict} (normal rank {r}/{n}, max pivot ratio {worst_ratio:.3e})",
+            f"singular={det_verdict} (normal rank {r}/{n}, max diagonal ratio {worst_ratio:.3e})",
             rank_verdict=rank_verdict,
             det_verdict=det_verdict,
         )
@@ -622,6 +642,8 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
         dimension=n,
         max_det_ratio=worst_ratio,
         node_count=len(nodes),
+        deciding_node=complex(nodes[k]),
+        sigma_min=sigma_min,
     )
 
 

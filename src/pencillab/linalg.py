@@ -1,16 +1,17 @@
 """Dense complex linear algebra substrate.
 
 Factorizations are delegated to LAPACK through numpy and scipy (complex
-SVD, LU, QZ).  Everything tolerance-sensitive is parameterized by
-:class:`~pencillab.config.ToleranceConfig`, and every rank decision in the
-package is made by :func:`rank_decision`: singular values at or below
+SVD, QR, QZ, and LU for determinants).  Everything tolerance-sensitive is
+parameterized by :class:`~pencillab.config.ToleranceConfig`, and every
+rank decision in the package is made by :func:`rank_decision`: singular
+values at or below
 ``rank_rel_tol * max(sigma_1, scale) * max(rows, cols)`` count as zero,
 where ``scale`` anchors the cutoff to an ambient magnitude (0 for a purely
 relative cutoff).  A singular value within a factor ``RANK_GUARD`` = 10 of
 the cutoff makes the decision untrustworthy; callers that must be sure
 raise or skip on it.  A pencil sweep anchors node lam at |A| + |lam| |B|
-(:func:`node_stack`); determinant-zero decisions compare LU pivots with
-``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
+(:func:`node_stack`); determinant-zero decisions compare the QR diagonal
+with ``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
 eigenvalue cluster with its multiplicity comes from
 :func:`disc_clusters`, which links QZ eigenvalues by their own
 chordal perturbation discs (:func:`eigenvalue_discs`), and
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -321,16 +321,14 @@ def node_stack(p: Pencil, nodes) -> tuple[np.ndarray, np.ndarray]:
 def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
     """Determinant-channel singularity verdict over a :func:`node_stack`.
 
-    The determinant is the LU pivot product up to sign, so the smallest
-    pivot against max(largest pivot, node anchor) witnesses a zero.
-    Returns (every ratio below ``det_zero_tol``, largest ratio).
+    |det| is the product of the QR diagonal's magnitudes |r_kk|, so the
+    smallest |r_kk| against max(largest |r_kk|, node anchor) witnesses a
+    zero.  One batched QR serves every node.  Returns (every ratio below
+    ``det_zero_tol``, largest ratio).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(stack, check_finite=False)
-    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
-    top = np.maximum(pivots.max(axis=-1), anchors)
-    ratios = pivots.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
+    diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="r"), axis1=-2, axis2=-1))
+    top = np.maximum(diagonal.max(axis=-1), anchors)
+    ratios = diagonal.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
     return bool(np.all(ratios < tol.det_zero_tol)), float(ratios.max())
 
 

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pencillab.cli import main
+from pencillab.io import load_pencil
 
 from conftest import REPO
 
@@ -40,6 +42,16 @@ class TestAnalyze:
         assert membership["verdict"] == "inside"
         assert membership["iterations"] == 0
         assert membership["inside_weights"] == [0.5, 0.5]
+
+    def test_regularity_witness(self, fixtures_dir, capsys):
+        fixture = fixtures_dir / "signed_diag_pair.json"
+        code, out, _ = run_cli(["analyze", str(fixture)], capsys)
+        assert code == 0
+        singular = json.loads(out)["singular"]
+        # A + lam* B at the deciding node is invertible, which proves regularity
+        p = load_pencil(fixture)
+        sigma = np.linalg.svd(p.at(complex(*singular["deciding_node"])), compute_uv=False)[-1]
+        assert singular["sigma_min"] == pytest.approx(sigma) and sigma > 0.1
 
     def test_zero_pencil_all_true(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)

@@ -13,6 +13,19 @@ def by_coords(points):
 from conftest import complex_matrix
 
 
+def _cross_oracle_disagreements(a, b, tol):
+    """Grid points where Koszul exactness and shifted-pencil regularity disagree."""
+    from pencillab.linalg import eigenvalues
+
+    n = a.shape[0]
+    return sum(
+        pl.koszul_at(a, b, z1, z2, tol).exact
+        == bool(pl.is_singular(pl.Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol))
+        for z1 in eigenvalues(a).values
+        for z2 in eigenvalues(b).values
+    )
+
+
 class TestCheckCommuting:
     def test_diagonal_pairs(self):
         assert pl.check_commuting(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
@@ -164,6 +177,20 @@ class TestSpectrumOracles:
                 exact = pl.koszul_at(a, b, z1, z2, tol).exact
                 shifted = pl.Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n))
                 assert exact == (not pl.is_singular(shifted, tol))
+
+    def test_unbalanced_pair_koszul_vs_singularity(self, tol):
+        # B a thousandfold larger than A: each shifted block has its own scale
+        a, b = random_commuting_pair(np.random.default_rng(935), max_n=10, kind="poly")
+        assert _cross_oracle_disagreements(a, 1e3 * b, tol) == 0
+
+    def test_rescaled_pairs_koszul_vs_singularity(self, tol):
+        rng = np.random.default_rng(1203)
+        disagreements = 0
+        for _ in range(40):
+            a, b = random_commuting_pair(rng, max_n=10)
+            a, b = a * 10 ** rng.uniform(-3, 3), b * 10 ** rng.uniform(-3, 3)
+            disagreements += _cross_oracle_disagreements(a, b, tol)
+        assert disagreements == 0
 
     def test_off_grid_points_exact(self, rng, tol):
         a, b = random_commuting_pair(rng, max_n=5)

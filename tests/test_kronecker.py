@@ -3,8 +3,31 @@ import pytest
 
 import pencillab as pl
 from pencillab.kronecker import equivalence_transforms
+from pencillab.linalg import det_sample_nodes
 
 from conftest import complex_matrix
+
+
+def _unitary(n, rng):
+    return np.linalg.qr(complex_matrix(rng, n, n))[0]
+
+
+def _on_node_pencil(rank, shape, rng, turn=0.0):
+    """diag(-r w^k) + lam I, k < rank, padded with zeros to shape, in random unitary coordinates.
+
+    w = exp(2 pi i / (max(shape) + 1)) and the sweep circle has radius
+    |A| / |B| = r, so the eigenvalues r w^k sit on rank of the
+    max(shape) + 1 nodes; ``turn`` rotates them that far off the nodes.
+    """
+    rows, cols = shape
+    r = 10 ** rng.uniform(-1, 1)
+    lam = r * np.exp(1j * (2 * np.pi * np.arange(rank) / (max(shape) + 1) + turn))
+    a = np.zeros(shape, dtype=complex)
+    b = np.zeros(shape, dtype=complex)
+    a[:rank, :rank] = np.diag(-lam)
+    b[:rank, :rank] = np.eye(rank)
+    u, v = _unitary(rows, rng), _unitary(cols, rng)
+    return pl.Pencil(u @ a @ v, u @ b @ v), lam
 
 
 class TestBlocks:
@@ -186,6 +209,39 @@ class TestSingularity:
             assert bool(verdict) == bool(got.col_minimal)
             assert bool(verdict) == bool(got.row_minimal)
 
+    @pytest.mark.parametrize("turn", [0.0, 1e-7])
+    def test_eigenvalues_on_all_but_one_node(self, tol, turn):
+        rng = np.random.default_rng(1201)
+        for n in range(1, 25):
+            p, lam = _on_node_pencil(n, (n, n), rng, turn)
+            nodes = det_sample_nodes(p, n + 1)
+            assert np.abs(nodes[:n] - lam).max() <= (turn + 1e-12) * abs(lam[0])
+            verdict = pl.is_singular(p, tol)
+            assert not verdict and verdict.normal_rank == n and verdict.node_count == n + 1
+            # the one node off the spectrum proves regularity
+            assert verdict.deciding_node == pytest.approx(nodes[n])
+            sigma = np.linalg.svd(p.at(verdict.deciding_node), compute_uv=False)[-1]
+            assert verdict.sigma_min == pytest.approx(sigma) and sigma > 1e-3 * abs(lam[0])
+
+    def test_singular_with_eigenvalues_on_nodes(self, tol):
+        # n - 1 of the n + 1 nodes sit on eigenvalues, where the rank drops to n - 2
+        rng = np.random.default_rng(1204)
+        for n in range(2, 25):
+            p, lam = _on_node_pencil(n - 1, (n, n), rng)
+            assert np.abs(det_sample_nodes(p, n + 1)[: n - 1] - lam).max() <= 1e-12 * abs(lam[0])
+            verdict = pl.is_singular(p, tol)
+            assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+            assert verdict.normal_rank == n - 1 and verdict.node_count == n + 1
+
+    def test_scrambled_minimal_pairs(self, tol):
+        for eps in range(11):
+            for delta in range(11):
+                s = pl.KroneckerStructure(col_minimal=[(eps, 1)], row_minimal=[(delta, 1)])
+                p, _ = pl.scramble(pl.assemble(s), seed=100 * eps + delta, max_cond=100.0)
+                verdict = pl.is_singular(p, tol)
+                assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+                assert verdict.normal_rank == eps + delta and verdict.node_count == p.rows + 1
+
 
 class TestNormalRank:
     def test_identity(self):
@@ -204,6 +260,14 @@ class TestNormalRank:
             for lam in np.linspace(-3, 3, 21) + 1j * np.linspace(-2.3, 2.9, 21)
         )
         assert brute == 2
+
+    def test_rectangular_eigenvalues_on_nodes(self, tol):
+        # an m x (m + 1) pencil sweeps m + 2 nodes, m of them on its eigenvalues
+        rng = np.random.default_rng(1202)
+        for m in range(1, 13):
+            p, lam = _on_node_pencil(m, (m, m + 1), rng)
+            assert np.abs(det_sample_nodes(p, m + 2)[:m] - lam).max() <= 1e-12 * abs(lam[0])
+            assert pl.normal_rank(p, tol)[0] == m
 
     def test_square_deficiency_matches_singularity(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
