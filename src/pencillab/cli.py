@@ -230,6 +230,11 @@ def campaign_rng(seed: int, name: str, index: int) -> np.random.Generator:
 
 def run_campaign(generator: str, count: int, tol: ToleranceConfig,
                  failure_dir: str) -> dict:
+    """Run each check ``count`` times and count its outcomes.
+
+    Per check: passed, failed and unstable instances, and once one is
+    unstable, ``unstable_reasons``: the unstable ones by exception class.
+    """
     names = list(_CHECKS) if generator == "all" else [generator]
     summary: dict = {"campaign": generator, "count": count, "seed": tol.rng_seed, "results": {}}
     failures: list[str] = []
@@ -242,6 +247,8 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
                 outcome = check(rng, tol, index)
             except (RankDecisionUnstable, InconsistentSingularityEvidence) as exc:
                 stats["unstable"] += 1
+                reasons = stats.setdefault("unstable_reasons", {})
+                reasons[type(exc).__name__] = reasons.get(type(exc).__name__, 0) + 1
                 continue
             except (OracleDisagreement, ImplicationViolated) as exc:
                 outcome = {"ok": False, "pencil": None, "detail": {"error": str(exc)}}

@@ -15,7 +15,8 @@ with ``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
 eigenvalue cluster with its multiplicity comes from
 :func:`disc_clusters`, which links QZ eigenvalues by their own
 chordal perturbation discs (:func:`eigenvalue_discs`), and
-:func:`invariant_subspaces` adds each cluster's subspace by reordering.
+:func:`invariant_subspaces` adds each cluster's subspace by reordering one
+Schur or QZ form.
 """
 
 from __future__ import annotations
@@ -154,30 +155,44 @@ def eigenvalues(a, b=None) -> SpectrumList:
 def invariant_subspaces(a, b=None) -> tuple[SpectrumList, tuple[np.ndarray, ...]]:
     """The clusters of :func:`eigenvalues` with an orthonormal basis of each one's subspace.
 
-    The basis spans a matrix's invariant subspace from the complex Schur
-    form, or a pencil's right deflating subspace from the QZ form, either
-    reordered to lead with the cluster; one that does not lead with exactly
-    the cluster raises :class:`RankDecisionUnstable`.  Clusters at infinity
-    have no basis.
+    One complex Schur form of a matrix, or one QZ form of a pencil, is
+    computed per call and reordered once per cluster to lead with it
+    (LAPACK ``ztrsen`` or ``ztgsen``; Bai & Demmel 1993, Kågström & Poromaa
+    1996); the leading columns span the matrix's invariant subspace or the
+    pencil's right deflating subspace.  A reordering that fails, or that
+    does not lead with exactly the cluster, raises
+    :class:`RankDecisionUnstable`.  A single finite cluster of all n
+    eigenvalues spans the whole space and takes the identity as its basis,
+    with no Schur form.  Clusters at infinity have no basis.
     """
     a, b, scale = _balanced(a, b)
     alpha, beta, radius = eigenvalue_discs(a, b)
     spectrum, labels, roots = _clusters(alpha, beta, radius, scale)
+    if not len(roots):
+        return spectrum, ()
+    if spectrum.multiplicities == (len(a),):
+        return spectrum, (np.eye(len(a)),)
+
+    def owner(x, y):  # the cluster of the chordally nearest eigenvalue
+        return labels[np.abs(np.multiply.outer(x, beta) - np.multiply.outer(y, alpha)).argmin(-1)]
+
+    try:  # (T, Z) with A = Z T Z*, or (S, T, Q, Z) with (A, -B) = Q (S, T) Z*
+        form = (scipy.linalg.schur(a, output="complex") if b is None
+                else scipy.linalg.qz(a, -b, output="complex"))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise RankDecisionUnstable(f"the Schur form failed: {exc}") from exc
+    owners = owner(np.diag(form[0]), 1.0 if b is None else np.diag(form[1]))
     bases = []
     for root, size in zip(roots, spectrum.multiplicities):
-        def select(x, y=1.0, root=root):  # is the chordally nearest eigenvalue in the cluster
-            nearest = np.abs(np.multiply.outer(x, beta) - np.multiply.outer(y, alpha)).argmin(-1)
-            return labels[nearest] == root
-
-        try:
-            if b is None:
-                t, z, _ = scipy.linalg.schur(a, output="complex", sort=select)
-                leading = select(np.diag(t))
-            else:
-                *_, x, y, _, z = scipy.linalg.ordqz(a, -b, sort=select, output="complex")
-                leading = select(x, y)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise RankDecisionUnstable(f"reordering the Schur form failed: {exc}") from exc
+        select = (owners == root).astype(np.int32)
+        if b is None:
+            _, z, x, *_, info = scipy.linalg.lapack.ztrsen(select, *form, job="N")
+            leading = owner(x, 1.0) == root
+        else:
+            _, _, x, y, _, z, *_, info = scipy.linalg.lapack.ztgsen(select, *form, ijob=0)
+            leading = owner(x, y) == root
+        if info != 0:
+            raise RankDecisionUnstable(f"reordering the Schur form failed with info {info}")
         if not np.array_equal(leading, np.arange(len(a)) < size):
             raise RankDecisionUnstable(f"reordering to a cluster of {size} led with {leading}")
         bases.append(z[:, :size])

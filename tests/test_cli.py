@@ -159,6 +159,21 @@ class TestCampaign:
         summary = json.loads(out)
         assert summary["results"]["roundtrip"]["unstable"] > 0
 
+    def test_unstable_reasons_counted_by_exception(self, tmp_path, monkeypatch):
+        from pencillab import RankDecisionUnstable, ToleranceConfig, cli
+
+        def check(rng, tol, index):
+            if index % 2:
+                raise RankDecisionUnstable("margin too small")
+            return {"ok": True, "pencil": None, "detail": {}}
+
+        monkeypatch.setitem(cli._CHECKS, "dopico", check)
+        summary = cli.run_campaign("dopico", 5, ToleranceConfig(), str(tmp_path))
+        assert summary["results"]["dopico"] == {
+            "passed": 3, "failed": 0, "unstable": 2,
+            "unstable_reasons": {"RankDecisionUnstable": 2},
+        }
+
     def test_unknown_generator(self, capsys):
         code, _, err = run_cli(["campaign", "bogus", "--count", "1"], capsys)
         assert code == 1

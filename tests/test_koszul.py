@@ -106,6 +106,25 @@ class TestTaylorSpectrum:
             assert sum(ts.multiplicities) == a.shape[0]
             assert len(ts.witnesses) == len(ts.points)
 
+    def test_simple_spectrum_takes_one_schur_form(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        x = pl.kronecker.random_well_conditioned(4, np.random.default_rng(3), 30.0)
+        a = x @ np.diag([1.0, -2.0, 0.5j, 3.0]) @ np.linalg.inv(x)
+        ts = pl.taylor_spectrum(a, a @ a)
+        # A's n clusters are simple, so every restriction of B is one 1 x 1 cluster, its own basis
+        assert len(calls) == 1 and ts.multiplicities == (1, 1, 1, 1)
+        np.testing.assert_allclose(by_coords(ts.points), [(-2.0, 4.0), (0.5j, -0.25),
+                                                          (1.0, 1.0), (3.0, 9.0)], atol=1e-10)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_jordan_block(self, seed):
         # A = X J X^-1 with a 2x2 Jordan block at 1 and B = A^2

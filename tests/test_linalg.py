@@ -285,6 +285,53 @@ class TestInvariantSubspaces:
             assert np.linalg.norm(ratio @ u - u @ restricted) < 1e-10 * np.linalg.norm(ratio)
             np.testing.assert_allclose(np.linalg.eigvals(-restricted), z, atol=1e-8)
 
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_one_form_reordered_per_cluster(self, monkeypatch, pencil):
+        import scipy.linalg
+
+        calls = []
+
+        def counted(name):
+            original = getattr(scipy.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("schur", "qz", "ordqz"):
+            monkeypatch.setattr(scipy.linalg, name, counted(name))
+        rng = np.random.default_rng(7)
+        x = pl.kronecker.random_well_conditioned(5, rng, 30.0)
+        j = np.diag([1.0, 1.0, -2.0, 0.5j, 0.5j]) + np.diag([1.0, 0.0, 0.0, 0.0], 1)
+        a = x @ j @ np.linalg.inv(x)  # three clusters: a Jordan block, a simple and a double value
+        b = None
+        if pencil:
+            y = pl.kronecker.random_well_conditioned(5, rng, 30.0)
+            a, b = a @ y, -y  # A + lam B = (X J X^-1 - lam) Y
+        spectrum, bases = invariant_subspaces(a, b)
+        assert calls == ["qz" if pencil else "schur"]
+        assert spectrum.multiplicities == (1, 2, 2)
+        m = a if b is None else np.linalg.solve(-b, a)  # -B^-1 A has the pencil's eigenvalues
+        for u in bases:
+            assert np.linalg.norm(m @ u - u @ (u.conj().T @ m @ u)) <= 1e-10 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_one_cluster_is_the_whole_space(self, monkeypatch, pencil):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single cluster needs no Schur form")
+
+        for name in ("schur", "qz"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        x = pl.kronecker.random_well_conditioned(3, np.random.default_rng(5), 30.0)
+        a = x @ (2.0 * np.eye(3) + np.diag([1.0, 1.0], 1)) @ np.linalg.inv(x)
+        spectrum, bases = invariant_subspaces(a, -np.eye(3) if pencil else None)
+        assert spectrum.multiplicities == (3,)
+        np.testing.assert_array_equal(bases[0], np.eye(3))
+
     def test_reordering_that_misses_the_cluster_raises(self, monkeypatch):
         from pencillab import linalg
 

@@ -4,7 +4,8 @@ from scipy.linalg import schur
 from scipy.optimize import linprog
 
 import pencillab as pl
-from pencillab.generators import random_doubly_commuting_pair, random_singular_pencil
+from pencillab.generators import (random_commuting_pair, random_doubly_commuting_pair,
+                                  random_singular_pencil)
 
 from conftest import complex_matrix
 
@@ -42,6 +43,49 @@ class TestIsotropicSearch:
     def test_no_false_positive_for_identity(self):
         cert = pl.isotropic_search(np.eye(3), np.eye(3), restarts=40)
         assert cert is None
+
+    def test_one_restart_on_a_doubly_commuting_pair(self):
+        rng = np.random.default_rng(17)
+        a, b = random_doubly_commuting_pair(rng, 5)
+        a, b = a - np.trace(a) / 5 * np.eye(5), b - np.trace(b) / 5 * np.eye(5)
+        assert pl.conv_hull_membership(a, b).verdict == "inside"
+        cert = pl.isotropic_search(a, b, restarts=1)
+        assert cert is not None and cert.is_valid(a, b)
+
+    def test_finds_every_regular_pair_with_the_origin_in_its_hull(self):
+        found = missed = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            if seed % 3 == 0:
+                a, b = random_doubly_commuting_pair(rng, rng.integers(2, 9))
+            else:
+                a, b = random_commuting_pair(rng, max_n=8, kind=["poly", "structured"][seed % 2])
+            if pl.is_singular(pl.Pencil(a, b)) or pl.conv_hull_membership(a, b).verdict not in (
+                    "inside", "boundary"):
+                continue
+            cert = pl.isotropic_search(a, b, restarts=400)
+            if cert is not None and cert.is_valid(a, b):
+                found += 1
+            else:
+                missed += 1
+        assert (found, missed) == (80, 0)
+
+    def test_finds_larger_pairs_with_the_origin_in_their_hull(self):
+        # the per-start evaluation cap must not cost a certificate at the sizes analyze takes
+        sizes = []
+        for seed in range(30):
+            rng = np.random.default_rng(10_000 + seed)
+            if seed % 3 == 0:
+                a, b = random_doubly_commuting_pair(rng, rng.integers(12, 17))
+            else:
+                a, b = random_commuting_pair(rng, max_n=16, kind=["poly", "structured"][seed % 2])
+            if len(a) < 12 or pl.is_singular(pl.Pencil(a, b)) or pl.conv_hull_membership(
+                    a, b).verdict not in ("inside", "boundary"):
+                continue
+            cert = pl.isotropic_search(a, b, restarts=400)
+            assert cert is not None and cert.is_valid(a, b), seed
+            sizes.append(len(a))
+        assert sorted(sizes) == [12, 12, 13, 13, 14, 14, 15, 15, 15, 16]
 
     def test_residuals_recomputed(self):
         a, b = np.diag([1.0, -1.0]), np.diag([2.0, -2.0])
