@@ -73,7 +73,6 @@ from .numrange import (
 from .commuting import (
     IntertwinerPattern,
     MultiplierSearchResult,
-    SingularStructure,
     commuting_feasible,
     construct_multiplier,
     intertwiner_pattern,

@@ -1,11 +1,14 @@
 """Structure theory of pencils with commuting coefficients.
 
 Covers the intertwiner equation A M B = B M A for canonical singular
-direct sums (block zero/Toeplitz/Hankel pattern and its free-parameter
-count, cross-checked by a brute-force vectorized solver), the
-feasibility inequalities a commuting pair's Kronecker multiplicities must
-satisfy, and the equality-case construction of an invertible multiplier
-E making EA and EB commute.
+direct sums.  Its solutions are described once, by an integer label
+matrix: entry (i, j) names the parameter that M[i, j] equals, and -1
+marks an entry that is always zero.  The parameter count, the pattern
+test and random pattern draws all read that matrix, and a brute-force
+vectorized solver cross-checks it.  The module also covers the
+feasibility inequalities a commuting pair's Kronecker multiplicities
+must satisfy, and the equality-case construction of an invertible
+multiplier E making EA and EB commute.
 """
 
 from __future__ import annotations
@@ -24,66 +27,12 @@ PATTERN_REL_TOL = 1e-8
 BRUTE_FORCE_MAX_DIM = 12
 
 
-# ---------------------------------------------------------------------------
-# singular-only structures
-
-
-@dataclass(frozen=True)
-class SingularStructure:
-    """Kronecker data of a direct sum of singular blocks only.
-
-    Both families list (index, multiplicity) ascending and may include the
-    index-0 group; ``row_minimal`` describes transposed (row) blocks,
-    ``col_minimal`` the column blocks.
-    """
-
-    row_minimal: tuple[tuple[int, int], ...] = ()
-    col_minimal: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        ks = KroneckerStructure(
-            col_minimal=self.col_minimal, row_minimal=self.row_minimal
+def _require_square_singular(s: KroneckerStructure) -> int:
+    if not s.singular_only:
+        raise InvalidStructure(
+            f"intertwiner pattern covers singular blocks only, got jordan={s.jordan}, "
+            f"nilpotent={s.nilpotent}"
         )
-        object.__setattr__(self, "row_minimal", ks.row_minimal)
-        object.__setattr__(self, "col_minimal", ks.col_minimal)
-
-    @classmethod
-    def from_kronecker(cls, structure: KroneckerStructure) -> "SingularStructure":
-        if not structure.singular_only:
-            raise InvalidStructure("structure has regular blocks; not singular-only")
-        return cls(row_minimal=structure.row_minimal, col_minimal=structure.col_minimal)
-
-    def to_kronecker(self) -> KroneckerStructure:
-        return KroneckerStructure(
-            col_minimal=self.col_minimal, row_minimal=self.row_minimal
-        )
-
-    @property
-    def rows(self) -> int:
-        return self.to_kronecker().rows
-
-    @property
-    def cols(self) -> int:
-        return self.to_kronecker().cols
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def zero_row_count(self) -> int:
-        return dict(self.row_minimal).get(0, 0)
-
-    def zero_col_count(self) -> int:
-        return dict(self.col_minimal).get(0, 0)
-
-    def positive_row_groups(self) -> list[tuple[int, int]]:
-        return [(d, m) for d, m in self.row_minimal if d > 0]
-
-    def positive_col_groups(self) -> list[tuple[int, int]]:
-        return [(e, m) for e, m in self.col_minimal if e > 0]
-
-
-def _require_square_singular(s: SingularStructure) -> int:
     if not s.is_square:
         raise InvalidStructure(
             f"intertwiner pattern needs a square structure, got {s.rows} x {s.cols}"
@@ -96,61 +45,33 @@ def _require_square_singular(s: SingularStructure) -> int:
 
 
 @dataclass(frozen=True)
-class PatternBlock:
-    """One block of the intertwiner pattern in global coordinates."""
-
-    row_start: int
-    col_start: int
-    rows: int
-    cols: int
-    kind: str  # "free" | "zero" | "toeplitz" | "toeplitz_t" | "hankel"
-    params: int
-
-
-@dataclass(frozen=True)
 class IntertwinerPattern:
-    """Blockwise description of all solutions of A M B = B M A."""
+    """All solutions of A M B = B M A as one parameter map.
 
-    structure: SingularStructure
-    blocks: tuple[PatternBlock, ...]
+    ``labels[i, j]`` is the parameter that entry (i, j) equals, and -1
+    marks an entry that is zero in every solution.
+    """
 
-    @property
-    def zero_blocks(self):
-        return tuple(b for b in self.blocks if b.kind == "zero")
-
-    @property
-    def toeplitz_blocks(self):
-        return tuple(b for b in self.blocks if b.kind in ("toeplitz", "toeplitz_t"))
-
-    @property
-    def hankel_blocks(self):
-        return tuple(b for b in self.blocks if b.kind == "hankel")
-
-    @property
-    def free_blocks(self):
-        return tuple(b for b in self.blocks if b.kind == "free")
+    structure: KroneckerStructure
+    labels: np.ndarray
 
     @property
     def parameter_count(self) -> int:
-        return sum(b.params for b in self.blocks)
+        return int(self.labels.max(initial=-1)) + 1
 
 
-def _instance_row_blocks(s: SingularStructure) -> list[tuple[str, int, int]]:
-    """(side, index value, height) per block instance, in canonical order."""
+def _instance_sizes(s: KroneckerStructure, axis: int) -> list[tuple[str, int, int]]:
+    """(side, index value, size) per block instance along one axis of M.
+
+    M's rows follow the blocks' columns (d for L_d^T, e + 1 for L_e) and
+    its columns follow the blocks' rows (d + 1 and e), in canonical order.
+    """
+    delta_extra, eps_extra = (0, 1) if axis == 0 else (1, 0)
     out = []
-    for d, mult in s.row_minimal:
-        out.extend([("delta", d, d)] * mult)
-    for e, mult in s.col_minimal:
-        out.extend([("eps", e, e + 1)] * mult)
-    return out
-
-
-def _instance_col_blocks(s: SingularStructure) -> list[tuple[str, int, int]]:
-    out = []
-    for d, mult in s.row_minimal:
-        out.extend([("delta", d, d + 1)] * mult)
-    for e, mult in s.col_minimal:
-        out.extend([("eps", e, e)] * mult)
+    for side, groups, extra in (("delta", s.row_minimal, delta_extra),
+                                ("eps", s.col_minimal, eps_extra)):
+        for value, mult in groups:
+            out.extend([(side, value, value + extra)] * mult)
     return out
 
 
@@ -182,127 +103,70 @@ def _classify(row_side: str, ri: int, col_side: str, cj: int) -> str:
     return "toeplitz_t"
 
 
-def _block_params(kind: str, rows: int, cols: int) -> int:
+def _block_labels(kind: str, rows: int, cols: int) -> np.ndarray:
+    """Parameter labels of one block, numbered from 0, with -1 for its zeros."""
+    i, j = np.indices((rows, cols))
     if kind == "free":
-        return rows * cols
-    if kind == "zero":
-        return 0
-    if kind == "toeplitz":
-        return rows - cols + 1
-    if kind == "toeplitz_t":
-        return cols - rows + 1
+        return i * cols + j
     if kind == "hankel":
-        return rows + cols - 1
-    raise InvalidStructure(f"unknown pattern kind {kind!r}")
+        return i + j
+    if kind == "zero":
+        return np.full((rows, cols), -1)
+    offset = i - j if kind == "toeplitz" else j - i
+    return np.where((offset >= 0) & (offset <= abs(rows - cols)), offset, -1)
 
 
-def intertwiner_pattern(s: SingularStructure) -> IntertwinerPattern:
-    """Full block map of the A M B = B M A solution space."""
-    _require_square_singular(s)
-    blocks = []
-    r0 = 0
-    for row_side, ri, height in _instance_row_blocks(s):
-        if height == 0:
-            continue
+def intertwiner_pattern(s: KroneckerStructure) -> IntertwinerPattern:
+    """Parameter map of the A M B = B M A solution space."""
+    n = _require_square_singular(s)
+    labels = np.full((n, n), -1)
+    count = r0 = 0
+    for row_side, ri, height in _instance_sizes(s, 0):
         c0 = 0
-        for col_side, cj, width in _instance_col_blocks(s):
-            if width == 0:
-                continue
-            kind = _classify(row_side, ri, col_side, cj)
-            blocks.append(
-                PatternBlock(r0, c0, height, width, kind, _block_params(kind, height, width))
-            )
+        for col_side, cj, width in _instance_sizes(s, 1):
+            if height and width:
+                block = _block_labels(_classify(row_side, ri, col_side, cj), height, width)
+                labels[r0 : r0 + height, c0 : c0 + width] = np.where(block >= 0, block + count, -1)
+                count += int(block.max()) + 1
             c0 += width
         r0 += height
-    return IntertwinerPattern(structure=s, blocks=tuple(blocks))
+    return IntertwinerPattern(structure=s, labels=labels)
 
 
-def pattern_parameter_count(s: SingularStructure) -> int:
+def pattern_parameter_count(s: KroneckerStructure) -> int:
     """Free parameters of the intertwiner pattern, by shape arithmetic."""
     return intertwiner_pattern(s).parameter_count
 
 
-def _project_block(sub: np.ndarray, kind: str) -> np.ndarray:
-    """Orthogonal projection of a block onto its pattern subspace."""
-    if kind == "free":
-        return sub
-    if kind == "zero":
-        return np.zeros_like(sub)
-    if kind == "toeplitz_t":
-        return _project_block(sub.T, "toeplitz").T
-    rows, cols = sub.shape
-    out = np.zeros_like(sub)
-    if kind == "toeplitz":
-        for offset in range(rows - cols + 1):
-            idx = [(t + offset, t) for t in range(cols) if t + offset < rows]
-            mean = np.mean([sub[i, j] for i, j in idx])
-            for i, j in idx:
-                out[i, j] = mean
-        return out
-    if kind == "hankel":
-        for anti in range(rows + cols - 1):
-            idx = [
-                (i, anti - i)
-                for i in range(max(0, anti - cols + 1), min(rows, anti + 1))
-            ]
-            mean = np.mean([sub[i, j] for i, j in idx])
-            for i, j in idx:
-                out[i, j] = mean
-        return out
-    raise InvalidStructure(f"unknown pattern kind {kind!r}")
-
-
-def matches_pattern(m, s: SingularStructure, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def matches_pattern(m, s: KroneckerStructure, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether a matrix conforms to the intertwiner pattern of the structure.
 
     The matrix must already be expressed in the canonical block frame;
-    no detection under unknown equivalence is attempted.
+    no detection under unknown equivalence is attempted.  It conforms when
+    it is close to its orthogonal projection onto the pattern, which
+    replaces the entries of each label by their mean and zeroes the rest.
     """
     m = np.asarray(m, dtype=complex)
-    n = _require_square_singular(s)
-    if m.shape != (n, n):
-        raise InvalidStructure(f"matrix shape {m.shape} does not match structure size {n}")
+    labels = intertwiner_pattern(s).labels
+    if m.shape != labels.shape:
+        raise InvalidStructure(
+            f"matrix shape {m.shape} does not match structure size {labels.shape[0]}"
+        )
+    inside = labels >= 0
+    ids, values = labels[inside], m[inside]
+    sums = np.bincount(ids, values.real) + 1j * np.bincount(ids, values.imag)
+    projection = np.zeros_like(m)
+    projection[inside] = (sums / np.bincount(ids))[ids]
     scale = max(float(np.linalg.norm(m)), 1e-300)
-    for blk in intertwiner_pattern(s).blocks:
-        sub = m[blk.row_start : blk.row_start + blk.rows, blk.col_start : blk.col_start + blk.cols]
-        if np.linalg.norm(sub - _project_block(sub, blk.kind)) > PATTERN_REL_TOL * scale:
-            return False
-    return True
+    return float(np.linalg.norm(m - projection)) <= PATTERN_REL_TOL * scale
 
 
-def random_pattern_matrix(s: SingularStructure, rng: np.random.Generator) -> np.ndarray:
-    """Random matrix conforming to the intertwiner pattern (free params filled)."""
-    n = _require_square_singular(s)
-    m = np.zeros((n, n), dtype=complex)
-
-    def rand(count):
-        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
-
-    for blk in intertwiner_pattern(s).blocks:
-        sub = np.zeros((blk.rows, blk.cols), dtype=complex)
-        if blk.kind == "free":
-            sub = rng.standard_normal((blk.rows, blk.cols)) + 1j * rng.standard_normal(
-                (blk.rows, blk.cols)
-            )
-        elif blk.kind == "toeplitz":
-            params = rand(blk.params)
-            for offset in range(blk.params):
-                for t in range(blk.cols):
-                    if t + offset < blk.rows:
-                        sub[t + offset, t] = params[offset]
-        elif blk.kind == "toeplitz_t":
-            params = rand(blk.params)
-            for offset in range(blk.params):
-                for t in range(blk.rows):
-                    if t + offset < blk.cols:
-                        sub[t, t + offset] = params[offset]
-        elif blk.kind == "hankel":
-            params = rand(blk.rows + blk.cols - 1)
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    sub[i, j] = params[i + j]
-        m[blk.row_start : blk.row_start + blk.rows, blk.col_start : blk.col_start + blk.cols] = sub
-    return m
+def random_pattern_matrix(s: KroneckerStructure, rng: np.random.Generator) -> np.ndarray:
+    """Random matrix conforming to the intertwiner pattern, one draw per parameter."""
+    pattern = intertwiner_pattern(s)
+    count = pattern.parameter_count
+    params = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return np.append(params, 0.0)[pattern.labels]  # label -1 reads the appended zero
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +206,17 @@ def intertwiner_space(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, li
 # feasibility of commuting Kronecker structures
 
 
+def _feasibility_terms(structure: KroneckerStructure):
+    """Each inequality of :func:`commuting_feasible`, as a record with its two sides."""
+    for family, groups in (("row", structure.row_minimal), ("col", structure.col_minimal)):
+        seen = dict(groups).get(0, 0)
+        positive = [(v, m) for v, m in groups if v > 0]
+        for i, (value, mult) in enumerate(positive, start=1):
+            yield {"family": family, "group": i, "index": value, "multiplicity": mult,
+                   "lhs": value * mult, "rhs": seen}
+            seen += mult
+
+
 def commuting_feasible(structure: KroneckerStructure) -> tuple[bool, list[dict]]:
     """Check the multiplicity inequalities a commuting pair must satisfy.
 
@@ -349,19 +224,7 @@ def commuting_feasible(structure: KroneckerStructure) -> tuple[bool, list[dict]]
     first): index_i * mult_i <= mult_0 + ... + mult_{i-1}.  Returns every
     violated inequality.
     """
-    violations = []
-    for family, groups in (("row", structure.row_minimal), ("col", structure.col_minimal)):
-        zero = dict(groups).get(0, 0)
-        positive = [(v, m) for v, m in groups if v > 0]
-        seen = zero
-        for i, (value, mult) in enumerate(positive, start=1):
-            lhs = value * mult
-            if lhs > seen:
-                violations.append(
-                    {"family": family, "group": i, "index": value, "multiplicity": mult,
-                     "lhs": lhs, "rhs": seen}
-                )
-            seen += mult
+    violations = [t for t in _feasibility_terms(structure) if t["lhs"] > t["rhs"]]
     return not violations, violations
 
 
@@ -379,25 +242,16 @@ def verify_necessity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return ok
 
 
-def is_equality_case(s: SingularStructure) -> bool:
+def is_equality_case(s: KroneckerStructure) -> bool:
     """Whether every feasibility inequality holds with equality."""
-    for groups, zero in (
-        (s.positive_row_groups(), s.zero_row_count()),
-        (s.positive_col_groups(), s.zero_col_count()),
-    ):
-        seen = zero
-        for value, mult in groups:
-            if value * mult != seen:
-                return False
-            seen += mult
-    return True
+    return all(t["lhs"] == t["rhs"] for t in _feasibility_terms(s))
 
 
 # ---------------------------------------------------------------------------
 # the equality-case multiplier
 
 
-def multiplier_pattern_matrix(s: SingularStructure) -> np.ndarray:
+def multiplier_pattern_matrix(s: KroneckerStructure) -> np.ndarray:
     """The explicit pattern-conformant block permutation for the equality case.
 
     Identity blocks walk each minimal-index family one group down (rows of
@@ -408,10 +262,10 @@ def multiplier_pattern_matrix(s: SingularStructure) -> np.ndarray:
     n = _require_square_singular(s)
     if not is_equality_case(s):
         raise EqualityConditionFails("structure multiplicities are not in the equality case")
-    n0 = s.zero_row_count()
-    m0 = s.zero_col_count()
-    delta_groups = s.positive_row_groups()
-    eps_groups = s.positive_col_groups()
+    n0 = dict(s.row_minimal).get(0, 0)
+    m0 = dict(s.col_minimal).get(0, 0)
+    delta_groups = [(d, m) for d, m in s.row_minimal if d > 0]
+    eps_groups = [(e, m) for e, m in s.col_minimal if e > 0]
     k = len(delta_groups)
     l = len(eps_groups)
 
@@ -488,8 +342,7 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
             f"Kronecker form has regular blocks (jordan={structure.jordan}, "
             f"nilpotent={structure.nilpotent}); the construction covers singular blocks only"
         )
-    s = SingularStructure.from_kronecker(structure)
-    if not is_equality_case(s):
+    if not is_equality_case(structure):
         raise EqualityConditionFails(
             "block multiplicities satisfy the feasibility inequalities only strictly; "
             "the explicit construction needs the equality case"
@@ -508,7 +361,7 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
             return e
         return None
 
-    e = verified(multiplier_pattern_matrix(s))
+    e = verified(multiplier_pattern_matrix(structure))
     if e is not None:
         return e
     # The blockwise identity walk can violate the truncated Toeplitz bands
@@ -517,7 +370,7 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
     # yields a commuting product, so draw one.
     rng = np.random.default_rng(tol.rng_seed ^ 0xE0)
     for _ in range(24):
-        pattern = random_pattern_matrix(s, rng)
+        pattern = random_pattern_matrix(structure, rng)
         if numerical_rank(pattern, tol) != n:
             continue
         e = verified(pattern)

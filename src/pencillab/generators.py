@@ -217,15 +217,10 @@ def random_commuting_pair(
         )
         rm, cm = options[int(rng.integers(0, len(options)))]
         structure = KroneckerStructure(row_minimal=rm, col_minimal=cm)
-        for _ in range(6):
-            seed = int(rng.integers(0, 2**62))
-            p, _ = scramble(assemble(structure), seed, max_cond=30.0)
-            try:
-                e = construct_multiplier(p)
-            except Exception:
-                continue
-            return e @ p.a, e @ p.b
-        raise RuntimeError("structured commuting pair generation failed repeatedly")
+        seed = int(rng.integers(0, 2**62))
+        p, _ = scramble(assemble(structure), seed, max_cond=30.0)
+        e = construct_multiplier(p)
+        return e @ p.a, e @ p.b
     raise ValueError(f"unknown generator kind {kind!r}")
 
 

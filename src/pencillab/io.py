@@ -146,28 +146,7 @@ def structure_from_json(obj, where: str = "structure") -> KroneckerStructure:
         raise ParseError(f"{where}: malformed structure record: {exc}") from exc
 
 
-def singular_structure_from_json(obj, where: str = "structure"):
-    from .commuting import SingularStructure
-
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        return SingularStructure(
-            row_minimal=[(int(d), int(m)) for d, m in obj.get("row_minimal", [])],
-            col_minimal=[(int(e), int(m)) for e, m in obj.get("col_minimal", [])],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: malformed singular structure: {exc}") from exc
-
-
-def singular_structure_to_json(s) -> dict:
-    return {
-        "row_minimal": [[int(d), int(m)] for d, m in s.row_minimal],
-        "col_minimal": [[int(e), int(m)] for e, m in s.col_minimal],
-    }
-
-
-def load_structure_catalog(path) -> list:
+def load_structure_catalog(path) -> list[KroneckerStructure]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -177,7 +156,7 @@ def load_structure_catalog(path) -> list:
             ) from exc
     if not isinstance(doc, list):
         raise ParseError(f"{path}: catalog must be a list")
-    return [singular_structure_from_json(item, f"{path}[{i}]") for i, item in enumerate(doc)]
+    return [structure_from_json(item, f"{path}[{i}]") for i, item in enumerate(doc)]
 
 
 # ---------------------------------------------------------------------------

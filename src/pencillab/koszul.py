@@ -23,7 +23,6 @@ from .linalg import (det_sample_nodes, invariant_subspaces, node_stack, numerica
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
-ISOTROPIC_SEARCH_RESTARTS = 400  # on a regular pair whose hull does not exclude the origin
 
 
 def check_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -249,6 +248,7 @@ class ConditionMatrix:
 
 _IMPLICATIONS = (
     ("(0) implies (i)", "zero_in_taylor", "pencil_singular"),
+    ("(i) implies (0)", "pencil_singular", "zero_in_taylor"),
     ("(0) implies (ii)", "zero_in_taylor", "origin_in_joint_range"),
     ("(0) implies (iii)", "zero_in_taylor", "range_is_plane"),
     ("(ii) implies (iii)", "origin_in_joint_range", "range_is_plane"),
@@ -280,7 +280,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     if cond_i:
         certificate = numrange._singular_certificate(p)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
-        certificate = numrange.isotropic_search(a, b, tol, restarts=ISOTROPIC_SEARCH_RESTARTS)
+        certificate = numrange.isotropic_search(a, b, tol)
     cond_ii = certificate is not None and certificate.is_valid(a, b)
     certificate = certificate if cond_ii else None
 

@@ -31,6 +31,7 @@ SEARCH_TARGET_REL = 1e-11
 # dogbox reaches the target within 5-9 evaluations from most starts that
 # converge; the cap stops starts that do not, and bounds a search that finds nothing.
 SEARCH_MAX_EVALUATIONS = 20
+ISOTROPIC_SEARCH_RESTARTS = 400  # on a regular pair whose hull does not exclude the origin
 
 
 def jnr_sample(a, b, count: int, seed: int) -> list[tuple[complex, complex]]:
@@ -127,7 +128,7 @@ def isotropic_search(
     a,
     b,
     tol: ToleranceConfig = DEFAULT_TOL,
-    restarts: int = 200,
+    restarts: int = ISOTROPIC_SEARCH_RESTARTS,
 ) -> IsotropicCertificate | None:
     """Randomized search for a common isotropic unit vector.
 
@@ -287,7 +288,6 @@ def conv_hull_membership(
     a,
     b,
     tol: ToleranceConfig = DEFAULT_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ConvHullMembership:
     """Decide whether the origin lies in the closed convex hull K of W(A, B).
 
@@ -297,7 +297,7 @@ def conv_hull_membership(
     the new atom (x* M_i x)_i; that eigenvalue bounds dist(0, K) from below.
     The next p is the min-norm point of the active atoms' hull: NNLS on
     [S; 1 ... 1] w = (0, 1), scaled to sum 1, drops atoms of zero weight.
-    A bound above ``boundary_tol`` times the scale is "outside", |p| within
+    A bound above ``BOUNDARY_TOL`` times the scale is "outside", |p| within
     ``INSIDE_SLACK`` times it "inside", and a gap |p| - bound at rounding
     level or ``HULL_MAX_ITERATIONS`` calls "boundary".
     """
@@ -319,7 +319,7 @@ def conv_hull_membership(
         values, eigvecs = np.linalg.eigh(np.tensordot(point / norm, mats, axes=1))
         if values[0] > best:
             best, best_dir = float(values[0]), point / norm
-        if best > boundary_tol * scale:
+        if best > BOUNDARY_TOL * scale:
             cert = SeparationCertificate(direction=best_dir, margin=best)
             return ConvHullMembership("outside", best, best_dir, scale, cert, iterations=iteration)
         if norm - values[0] <= gap_floor:

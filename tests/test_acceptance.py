@@ -150,7 +150,7 @@ def test_criterion_05_intertwiner_oracle_equality(catalog):
     """Pattern parameter count == brute-force dimension; all basis elements conform."""
     bad = []
     for s in catalog:
-        d = pl.assemble(s.to_kronecker())
+        d = pl.assemble(s)
         dim, basis = pl.intertwiner_space(d.a, d.b, TOL)
         count = pl.pattern_parameter_count(s)
         conforms = all(pl.matches_pattern(m, s, TOL) for m in basis)
@@ -181,14 +181,14 @@ def test_criterion_06_feasibility_necessity():
 
 def test_criterion_07_equality_case_multiplier(catalog):
     """Explicit multiplier construction on every equality-case catalog structure."""
-    four_by_four = pl.SingularStructure(
+    four_by_four = pl.KroneckerStructure(
         row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)]
     )
     cases = [s for s in catalog if is_equality_case(s)]
     assert any(s == four_by_four for s in cases), "catalog must contain the 4x4 fixture"
     bad = []
     for s in cases:
-        p = pl.assemble(s.to_kronecker())
+        p = pl.assemble(s)
         try:
             e = pl.construct_multiplier(p, TOL)
         except pl.PencilLabError as exc:

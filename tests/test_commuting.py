@@ -32,55 +32,69 @@ class TestIntertwinerSpace:
             pl.intertwiner_space(np.eye(13), np.eye(13))
 
     def test_four_by_four_matches_pattern_count(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
-        p = pl.assemble(s.to_kronecker())
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        p = pl.assemble(s)
         dim, basis = pl.intertwiner_space(p.a, p.b)
         assert dim == pl.pattern_parameter_count(s) == 10
 
 
 class TestPatternCount:
     def test_one_by_one(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1)], col_minimal=[(0, 1)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 1)], col_minimal=[(0, 1)])
         assert pl.pattern_parameter_count(s) == 1
 
     def test_two_by_two_zero(self):
-        s = pl.SingularStructure(row_minimal=[(0, 2)], col_minimal=[(0, 2)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 2)], col_minimal=[(0, 2)])
         assert pl.pattern_parameter_count(s) == 4
 
     def test_catalog_oracle_equality(self, catalog):
         for s in catalog:
-            d = pl.assemble(s.to_kronecker())
+            d = pl.assemble(s)
             dim, _ = pl.intertwiner_space(d.a, d.b)
             assert dim == pl.pattern_parameter_count(s), s
 
 
 class TestMatchesPattern:
     def test_zero_matrix(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         assert pl.matches_pattern(np.zeros((4, 4)), s)
 
     def test_basis_elements_conform(self, catalog):
         for s in catalog[:12]:
-            d = pl.assemble(s.to_kronecker())
+            d = pl.assemble(s)
             _, basis = pl.intertwiner_space(d.a, d.b)
             for m in basis:
                 assert pl.matches_pattern(m, s)
 
     def test_random_dense_rejected(self, rng):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         for _ in range(5):
             m = complex_matrix(rng, 4, 4)
             assert not pl.matches_pattern(m, s)
 
     def test_random_pattern_matrices_lie_in_space(self, rng, catalog):
         for s in catalog[:10]:
-            d = pl.assemble(s.to_kronecker())
+            d = pl.assemble(s)
             for _ in range(3):
                 m = pl.random_pattern_matrix(s, rng)
                 norm = max(np.linalg.norm(m), 1e-300)
                 residual = np.linalg.norm(d.a @ m @ d.b - d.b @ m @ d.a)
                 assert residual <= 1e-9 * norm * max(1.0, np.linalg.norm(d.a) * np.linalg.norm(d.b))
                 assert pl.matches_pattern(m, s)
+
+    def test_regular_blocks_refused(self, rng):
+        # the 4 x 4 equality pair plus a Jordan block: a 6 x 6 structure
+        s = pl.KroneckerStructure(
+            row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)], jordan=[(2, 1.0)]
+        )
+        with pytest.raises(pl.InvalidStructure):
+            pl.intertwiner_pattern(s)
+        with pytest.raises(pl.InvalidStructure):
+            pl.matches_pattern(np.zeros((6, 6)), s)
+        with pytest.raises(pl.InvalidStructure):
+            pl.random_pattern_matrix(s, rng)
+        with pytest.raises(pl.InvalidStructure):
+            multiplier_pattern_matrix(s)
 
 
 class TestFeasibility:
@@ -105,7 +119,7 @@ class TestFeasibility:
         # inequality untouched, so feasibility survives; dropping a middle
         # group can break it (its multiplicity feeds later right-hand sums)
         for s in catalog:
-            ks = s.to_kronecker()
+            ks = s
             ok, _ = pl.commuting_feasible(ks)
             if not ok:
                 continue
@@ -160,16 +174,16 @@ class TestMultiplier:
         assert e.shape == (1, 1) and abs(e[0, 0]) > 1e-12
 
     def test_four_by_four_canonical(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
-        p = pl.assemble(s.to_kronecker())
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        p = pl.assemble(s)
         e = pl.construct_multiplier(p)
         ea, eb = e @ p.a, e @ p.b
         assert np.linalg.norm(ea @ eb - eb @ ea) <= 1e-10
         assert pl.numerical_rank(e) == 4
 
     def test_four_by_four_scrambled(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
-        p, _ = pl.scramble(pl.assemble(s.to_kronecker()), seed=31)
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        p, _ = pl.scramble(pl.assemble(s), seed=31)
         e = pl.construct_multiplier(p)
         ea, eb = e @ p.a, e @ p.b
         scale = max(np.linalg.norm(ea) * np.linalg.norm(eb), 1e-300)
@@ -177,16 +191,16 @@ class TestMultiplier:
         assert pl.numerical_rank(e) == 4
 
     def test_explicit_pattern_matrix_is_intertwiner(self):
-        s = pl.SingularStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
-        d = pl.assemble(s.to_kronecker())
+        s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
+        d = pl.assemble(s)
         pattern = multiplier_pattern_matrix(s)
         assert np.linalg.norm(d.a @ pattern @ d.b - d.b @ pattern @ d.a) < 1e-14
         assert pl.matches_pattern(pattern, s)
 
     def test_strict_inequality_rejected(self):
-        s = pl.SingularStructure(row_minimal=[(0, 2), (1, 1)], col_minimal=[(0, 2), (1, 1)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 2), (1, 1)], col_minimal=[(0, 2), (1, 1)])
         assert not is_equality_case(s)
-        p = pl.assemble(s.to_kronecker())
+        p = pl.assemble(s)
         with pytest.raises(pl.EqualityConditionFails):
             pl.construct_multiplier(p)
 
@@ -198,9 +212,9 @@ class TestMultiplier:
     def test_misaligned_equality_case(self):
         # consecutive groups tile the shared dimension with incompatible
         # instance grids; exercises the randomized pattern fallback
-        s = pl.SingularStructure(row_minimal=[(0, 3), (1, 3), (3, 2)], col_minimal=[(0, 8)])
+        s = pl.KroneckerStructure(row_minimal=[(0, 3), (1, 3), (3, 2)], col_minimal=[(0, 8)])
         assert is_equality_case(s)
-        p = pl.assemble(s.to_kronecker())
+        p = pl.assemble(s)
         e = pl.construct_multiplier(p)
         ea, eb = e @ p.a, e @ p.b
         scale = max(np.linalg.norm(ea) * np.linalg.norm(eb), 1e-300)
@@ -211,7 +225,7 @@ class TestSearchMultiplier:
     def test_feasible_catalog_cases_found(self, catalog, tol):
         hits = 0
         for s in catalog:
-            ks = s.to_kronecker()
+            ks = s
             ok, _ = pl.commuting_feasible(ks)
             if not ok or s.rows > 10:
                 continue
@@ -227,8 +241,8 @@ class TestSearchMultiplier:
         assert hits > 0
 
     def test_infeasible_structure_not_found(self, tol):
-        s = pl.SingularStructure(row_minimal=[(1, 1)], col_minimal=[(1, 1)])
-        p = pl.assemble(s.to_kronecker())
+        s = pl.KroneckerStructure(row_minimal=[(1, 1)], col_minimal=[(1, 1)])
+        p = pl.assemble(s)
         result = pl.search_multiplier(p, tol, seed=5, restarts=40)
         assert not result.found
         assert result.evidence == "conjecture-level evidence"

@@ -82,7 +82,7 @@ class TestCatalog:
 
     def test_singular_structure_round_trip(self, catalog):
         for s in catalog[:5]:
-            back = plio.singular_structure_from_json(plio.singular_structure_to_json(s))
+            back = plio.structure_from_json(plio.structure_to_json(s))
             assert back == s
 
 

@@ -311,6 +311,21 @@ class TestConditionMatrix:
         assert not report.origin_in_joint_range and report.certificate is None
         assert calls == []
 
+    def test_singular_pencil_with_exact_koszul_violates_theorem(self, monkeypatch, fixtures_dir):
+        # the paper's theorem read backwards: a singular pencil puts the
+        # origin in the Taylor spectrum, so an exact complex there is a bug
+        from pencillab import koszul
+        from pencillab.io import load_pencil
+
+        p = load_pencil(fixtures_dir / "zero_pencil_2x2.json")
+
+        def exact(a, b, z1, z2, tol=pl.DEFAULT_TOL):
+            return koszul.KoszulAssessment((z1, z2), rank_d1=2, rank_d2=2, dim=2, exact=True)
+
+        monkeypatch.setattr(koszul, "koszul_at", exact)
+        with pytest.raises(pl.ImplicationViolated, match=r"\(i\) implies \(0\)"):
+            pl.condition_matrix(p.a, p.b)
+
     def test_noncommuting_rejected(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         p = pl.assemble(s)
