@@ -35,8 +35,8 @@ from .kronecker import (
     SingularityEvidence,
     assemble,
     build_block,
+    canonical_transforms,
     direct_sum,
-    equivalence_transforms,
     is_singular,
     normal_rank,
     scramble,
@@ -80,7 +80,6 @@ from .commuting import (
     is_equality_case,
     matches_pattern,
     pattern_parameter_count,
-    random_pattern_matrix,
     search_multiplier,
     verify_necessity,
 )

@@ -3,12 +3,13 @@
 Covers the intertwiner equation A M B = B M A for canonical singular
 direct sums.  Its solutions are described once, by an integer label
 matrix: entry (i, j) names the parameter that M[i, j] equals, and -1
-marks an entry that is always zero.  The parameter count, the pattern
-test and random pattern draws all read that matrix, and a brute-force
-vectorized solver cross-checks it.  The module also covers the
-feasibility inequalities a commuting pair's Kronecker multiplicities
-must satisfy, and the equality-case construction of an invertible
-multiplier E making EA and EB commute.
+marks an entry that is always zero.  The parameter count and the pattern
+test read that matrix, and a brute-force vectorized solver cross-checks
+it.  The module also covers the feasibility inequalities a commuting
+pair's Kronecker multiplicities must satisfy, and the deterministic
+equality-case construction of an invertible multiplier E making EA and EB
+commute: minimal-basis transforms to the canonical form and one explicit
+pattern matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EqualityConditionFails, InvalidStructure, TransformUnavailable
-from .kronecker import KroneckerStructure, assemble, equivalence_transforms, staircase_structure
+from .kronecker import KroneckerStructure, canonical_transforms, staircase_structure
 from .linalg import null_space, numerical_rank
 from .pencil import Pencil
 
@@ -60,19 +61,16 @@ class IntertwinerPattern:
         return int(self.labels.max(initial=-1)) + 1
 
 
-def _instance_sizes(s: KroneckerStructure, axis: int) -> list[tuple[str, int, int]]:
-    """(side, index value, size) per block instance along one axis of M.
+def _groups(s: KroneckerStructure, axis: int) -> list[tuple[str, int, int, int]]:
+    """(side, index value, instance size, multiplicity) per group along one axis of M.
 
     M's rows follow the blocks' columns (d for L_d^T, e + 1 for L_e) and
     its columns follow the blocks' rows (d + 1 and e), in canonical order.
     """
-    delta_extra, eps_extra = (0, 1) if axis == 0 else (1, 0)
-    out = []
-    for side, groups, extra in (("delta", s.row_minimal, delta_extra),
-                                ("eps", s.col_minimal, eps_extra)):
-        for value, mult in groups:
-            out.extend([(side, value, value + extra)] * mult)
-    return out
+    return [(side, value, value + extra, mult)
+            for side, groups, extra in (("delta", s.row_minimal, axis),
+                                        ("eps", s.col_minimal, 1 - axis))
+            for value, mult in groups]
 
 
 def _classify(row_side: str, ri: int, col_side: str, cj: int) -> str:
@@ -121,9 +119,11 @@ def intertwiner_pattern(s: KroneckerStructure) -> IntertwinerPattern:
     n = _require_square_singular(s)
     labels = np.full((n, n), -1)
     count = r0 = 0
-    for row_side, ri, height in _instance_sizes(s, 0):
+    instances = [[(side, value, size) for side, value, size, mult in _groups(s, axis)
+                  for _ in range(mult)] for axis in (0, 1)]
+    for row_side, ri, height in instances[0]:
         c0 = 0
-        for col_side, cj, width in _instance_sizes(s, 1):
+        for col_side, cj, width in instances[1]:
             if height and width:
                 block = _block_labels(_classify(row_side, ri, col_side, cj), height, width)
                 labels[r0 : r0 + height, c0 : c0 + width] = np.where(block >= 0, block + count, -1)
@@ -159,14 +159,6 @@ def matches_pattern(m, s: KroneckerStructure, tol: ToleranceConfig = DEFAULT_TOL
     projection[inside] = (sums / np.bincount(ids))[ids]
     scale = max(float(np.linalg.norm(m)), 1e-300)
     return float(np.linalg.norm(m - projection)) <= PATTERN_REL_TOL * scale
-
-
-def random_pattern_matrix(s: KroneckerStructure, rng: np.random.Generator) -> np.ndarray:
-    """Random matrix conforming to the intertwiner pattern, one draw per parameter."""
-    pattern = intertwiner_pattern(s)
-    count = pattern.parameter_count
-    params = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return np.append(params, 0.0)[pattern.labels]  # label -1 reads the appended zero
 
 
 # ---------------------------------------------------------------------------
@@ -251,76 +243,53 @@ def is_equality_case(s: KroneckerStructure) -> bool:
 # the equality-case multiplier
 
 
+def _aligned_identity(size: int, small: int, big: int) -> np.ndarray:
+    """0/1 matrix taking each small instance's columns whole into big-instance rows.
+
+    Instances follow an identity walk, except that one which would straddle
+    two big instances is placed twice, flush with the end of the first and
+    at the start of the next.  Each instance pair then holds full diagonals
+    of one Toeplitz band, and the matrix stays invertible.
+    """
+    q = np.zeros((size, size))
+    for c0 in range(0, size, small):
+        edge = (c0 // big + 1) * big
+        for r0 in (c0,) if c0 + small <= edge else (edge - small, edge):
+            q[r0 : r0 + small, c0 : c0 + small] = np.eye(small)
+    return q
+
+
 def multiplier_pattern_matrix(s: KroneckerStructure) -> np.ndarray:
     """The explicit pattern-conformant block permutation for the equality case.
 
-    Identity blocks walk each minimal-index family one group down (rows of
-    group i land on the columns of group i-1), the band rows feed the
-    first column group of the other family, and the final corner is closed
-    with an anti-identity inside the Hankel region.
+    Identity blocks walk each minimal-index family one group along: the
+    rows of row-family group i land on the columns of group i - 1, and the
+    rows of column-family group i on the columns of group i + 1.  The
+    equality case makes each pair square, and :func:`_aligned_identity`
+    keeps every instance inside one Toeplitz band.  The last column-family
+    rows close the corner on the last row-family columns with an
+    anti-identity, which any instance grid reads as a Hankel pattern.
     """
     n = _require_square_singular(s)
     if not is_equality_case(s):
         raise EqualityConditionFails("structure multiplicities are not in the equality case")
-    n0 = dict(s.row_minimal).get(0, 0)
-    m0 = dict(s.col_minimal).get(0, 0)
-    delta_groups = [(d, m) for d, m in s.row_minimal if d > 0]
-    eps_groups = [(e, m) for e, m in s.col_minimal if e > 0]
-    k = len(delta_groups)
-    l = len(eps_groups)
-
-    # row layout: delta groups ascending, band (index-0 column blocks), eps groups
-    delta_row = []
-    pos = 0
-    for d, mult in delta_groups:
-        delta_row.append((pos, d * mult))
-        pos += d * mult
-    band_rows = (pos, m0)
-    pos += m0
-    eps_row = []
-    for e, mult in eps_groups:
-        eps_row.append((pos, (e + 1) * mult))
-        pos += (e + 1) * mult
-    assert pos == n
-
-    # column layout: star (index-0 row blocks), delta groups, eps groups
-    star_cols = (0, n0)
-    pos = n0
-    delta_col = []
-    for d, mult in delta_groups:
-        delta_col.append((pos, (d + 1) * mult))
-        pos += (d + 1) * mult
-    eps_col = []
-    for e, mult in eps_groups:
-        eps_col.append((pos, e * mult))
-        pos += e * mult
-    assert pos == n
-
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    spans = {}
+    for axis in (0, 1):
+        pos = 0
+        for side, _, size, mult in _groups(s, axis):
+            spans.setdefault((axis, side), []).append((pos, size, size * mult))
+            pos += size * mult
+    delta_rows, delta_cols = spans[0, "delta"], spans[1, "delta"]
+    eps_rows, eps_cols = spans[0, "eps"], spans[1, "eps"]
     p = np.zeros((n, n), dtype=complex)
-
-    def place(rows, cols, anti=False):
-        r0, rn = rows
-        c0, cn = cols
-        if rn != cn:
-            raise EqualityConditionFails(
-                f"equality-case block mismatch: {rn} rows against {cn} columns"
-            )
-        block = np.fliplr(np.eye(rn)) if anti else np.eye(rn)
-        p[r0 : r0 + rn, c0 : c0 + cn] = block
-
-    if k == 0 and l == 0:
-        return np.eye(n, dtype=complex)
-    if k >= 1:
-        place(delta_row[0], star_cols)
-        for i in range(1, k):
-            place(delta_row[i], delta_col[i - 1])
-    if l >= 1:
-        place(band_rows, eps_col[0])
-        for a in range(l - 1):
-            place(eps_row[a], eps_col[a + 1])
-    leftover_rows = eps_row[l - 1] if l >= 1 else band_rows
-    leftover_cols = delta_col[k - 1] if k >= 1 else star_cols
-    place(leftover_rows, leftover_cols, anti=True)
+    for (r0, h, total), (c0, w, _) in [*zip(delta_rows[1:], delta_cols),
+                                       *zip(eps_rows, eps_cols[1:])]:
+        walk = _aligned_identity(total, w, h) if h >= w else _aligned_identity(total, h, w).T
+        p[r0 : r0 + total, c0 : c0 + total] = walk
+    (r0, _, total), (c0, _, _) = eps_rows[-1], delta_cols[-1]
+    p[r0 : r0 + total, c0 : c0 + total] = np.fliplr(np.eye(total))
     return p
 
 
@@ -329,8 +298,11 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
 
     The pencil's Kronecker form must consist of singular blocks only, with
     multiplicities in the equality case; otherwise
-    :class:`EqualityConditionFails`.  Uses equivalence transforms to the
-    canonical form, so ill-conditioned inputs surface as
+    :class:`EqualityConditionFails`.  With (S, T) from
+    :func:`~pencillab.kronecker.canonical_transforms` of the balanced
+    pencil (A, rho B), rho = |A|_F / |B|_F, and P the explicit pattern
+    matrix, E = T P S; EA and EB commute exactly when EA and E (rho B) do.
+    E is checked, so an ill-conditioned input surfaces as
     :class:`TransformUnavailable` rather than an unverified answer.
     """
     if not p.is_square:
@@ -349,37 +321,17 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
         )
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    canonical = assemble(structure)
-    smat, tmat = equivalence_transforms(p, canonical, tol)
-
-    def verified(pattern) -> np.ndarray | None:
-        e = tmat @ pattern @ smat
-        ea, eb = e @ p.a, e @ p.b
-        scale = max(float(np.linalg.norm(ea)) * float(np.linalg.norm(eb)), 1e-300)
-        commutator = float(np.linalg.norm(ea @ eb - eb @ ea))
-        if numerical_rank(e, tol) == n and commutator <= 1e-8 * scale:
-            return e
-        return None
-
-    e = verified(multiplier_pattern_matrix(structure))
-    if e is not None:
-        return e
-    # The blockwise identity walk can violate the truncated Toeplitz bands
-    # when consecutive groups tile the shared dimension with misaligned
-    # instance grids; any invertible element of the solution space still
-    # yields a commuting product, so draw one.
-    rng = np.random.default_rng(tol.rng_seed ^ 0xE0)
-    for _ in range(24):
-        pattern = random_pattern_matrix(structure, rng)
-        if numerical_rank(pattern, tol) != n:
-            continue
-        e = verified(pattern)
-        if e is not None:
-            return e
-    raise TransformUnavailable(
-        "multiplier verification failed for the explicit construction and for "
-        "randomized draws from the solution space"
-    )
+    smat, tmat = canonical_transforms(p.balanced()[0], structure, tol)
+    e = tmat @ multiplier_pattern_matrix(structure) @ smat
+    ea, eb = e @ p.a, e @ p.b
+    scale = max(float(np.linalg.norm(ea)) * float(np.linalg.norm(eb)), 1e-300)
+    commutator = float(np.linalg.norm(ea @ eb - eb @ ea))
+    if numerical_rank(e, tol) != n or commutator > 1e-8 * scale:
+        raise TransformUnavailable(
+            f"multiplier check failed: rank {numerical_rank(e, tol)} of {n}, "
+            f"relative commutator {commutator / scale:.3e}"
+        )
+    return e
 
 
 CONJECTURE_LABEL = "conjecture-level evidence"

@@ -6,8 +6,9 @@ through nullities of block-Toeplitz resultant matrices, regular structure
 through chain (Weyr-type) rank sequences at infinity and at the finite
 eigenvalue clusters (:func:`~pencillab.linalg.disc_clusters`) that two
 random rank-completing projections share.
-The staircase recovers structure only; equivalence transforms, when
-needed, are found separately by :func:`equivalence_transforms`.
+The staircase recovers structure only; for singular-only structures,
+:func:`canonical_transforms` builds the equivalence transforms to the
+canonical form from minimal polynomial bases.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .linalg import (
     numerical_rank,
     rank_decision,
     singular_values,
+    svd,
 )
 from .pencil import Pencil, as_matrix
 
@@ -529,10 +531,7 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
         row = ((0, m),) if m else ()
         return KroneckerStructure(col_minimal=col, row_minimal=row)
     rng = np.random.default_rng(tol.rng_seed ^ 0x5CA1AB1E)
-    na = float(np.linalg.norm(p.a))
-    nb = float(np.linalg.norm(p.b))
-    rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
-    p = Pencil(p.a, rho * p.b)
+    p, rho = p.balanced()
     r, _ = normal_rank(p, tol)
     s_right = n - r
     s_left = m - r
@@ -650,63 +649,78 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
 # ---------------------------------------------------------------------------
 # equivalence transforms to a known canonical form
 
-TRANSFORM_DRAWS = 12  # random nullspace elements tried
-TRANSFORM_MAX_COND = 1e8  # largest condition number accepted for S and R
 
+def _minimal_basis(p: Pencil, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of a right minimal basis of A + lam B, as canonical L-block columns.
 
-def equivalence_transforms(
-    p: Pencil,
-    target: Pencil,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible (S, T) with S (A + lam B) T equal to the target pencil.
-
-    Solves the coupled intertwining system S A = D_A R, S B = D_B R for
-    (S, R) as a nullspace problem; a random element of that nullspace is
-    almost surely invertible whenever the pencils are strictly equivalent.
-    The reconstruction is verified before returning, so an untrustworthy
-    answer raises :class:`TransformUnavailable` instead of escaping.
+    At each minimal index k the kernel of the degree-k resultant has the
+    known dimension sum over e <= k of mult_e (k + 1 - e), so its trailing
+    right singular vectors span it.  Removing the span of the shifts
+    lam^j x(lam) of the lower-degree basis vectors leaves the new degree-k
+    vectors (Forney 1975).  A vector x_0 + ... + x_k lam^k becomes the
+    columns (-1)^j x_j of one L_k block.  Returns those columns and a mask
+    of the ones other than each block's last.
     """
-    if not p.is_square or not target.is_square or p.shape != target.shape:
+    n = p.cols
+    basis: list[tuple[int, np.ndarray]] = []
+    for k, mult in groups:
+        nullity = sum(m * (k + 1 - e) for e, m in groups if e <= k)
+        null = svd(_toeplitz_resultant(p, k))[2][:, (k + 1) * n - nullity :]
+        shifts = [np.pad(x, (j * n, (k - e - j) * n)) for e, x in basis for j in range(k - e + 1)]
+        if shifts:
+            q = np.linalg.qr(np.array(shifts).T)[0]
+            null = null - q @ (q.conj().T @ null)
+        basis.extend((k, x) for x in svd(null)[0][:, :mult].T)
+    columns = [(-1) ** j * x[j * n : (j + 1) * n] for e, x in basis for j in range(e + 1)]
+    keep = [j < e for e, _ in basis for j in range(e + 1)]
+    return np.array(columns, dtype=complex).reshape(len(columns), n).T, np.array(keep, dtype=bool)
+
+
+def canonical_transforms(
+    p: Pencil, structure: KroneckerStructure, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invertible (S, T) with S (A + lam B) T equal to ``assemble(structure)``.
+
+    For square structures of singular blocks only.  A right minimal basis
+    gives T's L-block columns and, times B, the L-block columns of S^-1; a
+    left minimal basis gives S's L^T-block rows and, times B, the L^T-block
+    rows of T^-1.  The pseudo-inverses of those two products give S's L
+    rows and T's L^T columns, and one generalized Sylvester solve removes
+    the remaining coupling of the L rows with the L^T columns (Demmel &
+    Kagstrom 1993).  The result is checked, so a
+    structure that is not the pencil's raises :class:`TransformUnavailable`.
+    """
+    n = structure.rows
+    if not (structure.singular_only and structure.is_square and p.shape == (n, n)):
+        raise InvalidStructure(
+            f"transforms need a square singular-only structure of the pencil's size {p.shape}"
+        )
+    target = assemble(structure)
+    t_l, keep_l = _minimal_basis(p, structure.col_minimal)
+    s_lt, keep_lt = _minimal_basis(p.transposed(), structure.row_minimal)
+    s_lt = s_lt.T
+    s_l = np.linalg.pinv(p.b @ t_l[:, keep_l])
+    t_lt = np.linalg.pinv(s_lt[keep_lt] @ p.b)
+    rlt, clt = len(keep_lt), int(keep_lt.sum())
+    # S_0 P T_0 = [[C_LT, 0], [Y, C_L]], since the L^T rows annihilate the
+    # L columns' images; [[I, 0], [Q, I]] and [[I, 0], [R, I]] remove the
+    # coupling Y when Q C_LT + C_L R = -Y
+    system, rhs = [], []
+    for coeff, c in ((p.a, target.a), (p.b, target.b)):
+        c_lt, c_l = c[:rlt, :clt], c[rlt:, clt:]
+        system.append(np.hstack([np.kron(np.eye(n - rlt), c_lt.T), np.kron(c_l, np.eye(clt))]))
+        rhs.append(-(s_l @ coeff @ t_lt).reshape(-1))
+    x = np.linalg.lstsq(np.vstack(system), np.concatenate(rhs), rcond=None)[0]
+    q = x[: (n - rlt) * rlt].reshape(n - rlt, rlt)
+    r = x[(n - rlt) * rlt :].reshape(n - clt, clt)
+    s = np.vstack([s_lt, s_l + q @ s_lt])
+    t = np.hstack([t_lt + t_l @ r, t_l])
+    err = max(float(np.linalg.norm(s @ p.a @ t - target.a)),
+              float(np.linalg.norm(s @ p.b @ t - target.b)))
+    ranks = (numerical_rank(s, tol), numerical_rank(t, tol))
+    if err > 1e-8 * max(target.norm_scale(), 1.0) or min(ranks) < n:
         raise TransformUnavailable(
-            f"transform solve needs equal square shapes, got {p.shape} and {target.shape}"
+            f"minimal-basis transforms reach the canonical form to {err:.3e}, "
+            f"with ranks {ranks} of {n}"
         )
-    n = p.rows
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    rng = np.random.default_rng(tol.rng_seed ^ 0x7A115)
-    n2 = n * n
-    k = np.zeros((2 * n2, 2 * n2), dtype=complex)
-    basis = np.zeros((n, n), dtype=complex)
-    for idx in range(n2):
-        i, j = divmod(idx, n)
-        basis[i, j] = 1.0
-        k[:n2, idx] = (basis @ p.a).reshape(-1)
-        k[n2:, idx] = (basis @ p.b).reshape(-1)
-        k[:n2, n2 + idx] = -(target.a @ basis).reshape(-1)
-        k[n2:, n2 + idx] = -(target.b @ basis).reshape(-1)
-        basis[i, j] = 0.0
-    _, sig, vh = np.linalg.svd(k)
-    null_dim = 2 * n2 - int(rank_decision(sig, k.shape, 0.0, tol)[0])
-    if null_dim == 0:
-        raise TransformUnavailable("intertwining system has no nullspace; pencils not equivalent")
-    null = vh[2 * n2 - null_dim :].conj().T
-    scale = max(target.norm_scale(), 1.0)
-    for _ in range(TRANSFORM_DRAWS):
-        w = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
-        x = null @ w
-        s = x[:n2].reshape(n, n)
-        rmat = x[n2:].reshape(n, n)
-        if np.linalg.cond(s) > TRANSFORM_MAX_COND or np.linalg.cond(rmat) > TRANSFORM_MAX_COND:
-            continue
-        t = np.linalg.inv(rmat)
-        err = max(
-            float(np.linalg.norm(s @ p.a @ t - target.a)),
-            float(np.linalg.norm(s @ p.b @ t - target.b)),
-        )
-        if err <= 1e-8 * scale:
-            return s, t
-    raise TransformUnavailable(
-        f"no well-conditioned transforms found in {TRANSFORM_DRAWS} draws from a "
-        f"{null_dim}-dimensional intertwining space"
-    )
+    return s, t

@@ -193,9 +193,7 @@ def _singular_certificate(p: Pencil) -> IsotropicCertificate:
     """The body of :func:`isotropic_from_singular` for a pencil known to be singular."""
     a, b = p.a, p.b
     n = p.cols
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
-    q = Pencil(a, rho * b)
+    q = p.balanced()[0]
     for k in range(n + 1):
         x_mat = np.linalg.svd(_toeplitz_resultant(q, k))[2][-1].conj().reshape(k + 1, n).T
         if k == 0:

@@ -65,6 +65,12 @@ class Pencil:
     def transposed(self) -> "Pencil":
         return Pencil(self.a.T.copy(), self.b.T.copy())
 
+    def balanced(self) -> tuple["Pencil", float]:
+        """(A, rho B) with rho = |A|_F / |B|_F (1 when either is zero), and rho."""
+        na, nb = float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
+        rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
+        return Pencil(self.a, rho * self.b), rho
+
     def norm_scale(self) -> float:
         """A common magnitude for both coefficients, used to relativize cutoffs."""
         return max(float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b)))

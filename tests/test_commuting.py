@@ -8,6 +8,47 @@ from pencillab.generators import random_commuting_pair
 from conftest import complex_matrix
 
 
+def _pattern_draw(s, rng):
+    """Random matrix of the intertwiner pattern, one draw per parameter label."""
+    pattern = pl.intertwiner_pattern(s)
+    count = pattern.parameter_count + 1
+    params = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    params[-1] = 0.0  # label -1 reads the trailing zero
+    return params[pattern.labels]
+
+
+def _equality_families(limit):
+    """Families (0, m0), (d1, m1), ... with d_i m_i = m0 + ... + m_(i-1).
+
+    Yields (groups, multiplicity sum, index-weighted sum) for every family
+    whose two sums add up to at most ``limit``.
+    """
+    def grow(groups, total, weight):
+        yield tuple(groups), total, weight
+        for m in range(1, total + 1):
+            d = total // m
+            if total % m == 0 and d > groups[-1][0] and weight + total <= limit:
+                yield from grow(groups + [(d, m)], total + m, weight + d * m)
+
+    for m0 in range(1, limit + 1):
+        yield from grow([(0, m0)], m0, 0)
+
+
+def _equality_structures(max_n):
+    """Every square equality-case structure of singular blocks with 0 < n <= max_n.
+
+    Square means equal row and column multiplicity sums; then
+    n = (row weight) + (column weight) + (multiplicity sum).
+    """
+    families = list(_equality_families(max_n))
+    return [
+        pl.KroneckerStructure(row_minimal=rows, col_minimal=cols)
+        for rows, rt, rw in families
+        for cols, ct, cw in families
+        if rt == ct and rw + cw + rt <= max_n
+    ]
+
+
 class TestIntertwinerSpace:
     def test_identity_pair_full_space(self):
         dim, basis = pl.intertwiner_space(np.eye(3), np.eye(3))
@@ -76,13 +117,13 @@ class TestMatchesPattern:
         for s in catalog[:10]:
             d = pl.assemble(s)
             for _ in range(3):
-                m = pl.random_pattern_matrix(s, rng)
+                m = _pattern_draw(s, rng)
                 norm = max(np.linalg.norm(m), 1e-300)
                 residual = np.linalg.norm(d.a @ m @ d.b - d.b @ m @ d.a)
                 assert residual <= 1e-9 * norm * max(1.0, np.linalg.norm(d.a) * np.linalg.norm(d.b))
                 assert pl.matches_pattern(m, s)
 
-    def test_regular_blocks_refused(self, rng):
+    def test_regular_blocks_refused(self):
         # the 4 x 4 equality pair plus a Jordan block: a 6 x 6 structure
         s = pl.KroneckerStructure(
             row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)], jordan=[(2, 1.0)]
@@ -91,8 +132,6 @@ class TestMatchesPattern:
             pl.intertwiner_pattern(s)
         with pytest.raises(pl.InvalidStructure):
             pl.matches_pattern(np.zeros((6, 6)), s)
-        with pytest.raises(pl.InvalidStructure):
-            pl.random_pattern_matrix(s, rng)
         with pytest.raises(pl.InvalidStructure):
             multiplier_pattern_matrix(s)
 
@@ -210,15 +249,48 @@ class TestMultiplier:
             pl.construct_multiplier(p)
 
     def test_misaligned_equality_case(self):
-        # consecutive groups tile the shared dimension with incompatible
-        # instance grids; exercises the randomized pattern fallback
+        # consecutive groups tile the shared dimension with misaligned
+        # instance grids: an L_1^T instance straddles two L_3^T instances
         s = pl.KroneckerStructure(row_minimal=[(0, 3), (1, 3), (3, 2)], col_minimal=[(0, 8)])
         assert is_equality_case(s)
         p = pl.assemble(s)
+        pattern = multiplier_pattern_matrix(s)
+        assert np.array_equal(p.a @ pattern @ p.b, p.b @ pattern @ p.a)
+        assert pl.matches_pattern(pattern, s)
         e = pl.construct_multiplier(p)
         ea, eb = e @ p.a, e @ p.b
         scale = max(np.linalg.norm(ea) * np.linalg.norm(eb), 1e-300)
         assert np.linalg.norm(ea @ eb - eb @ ea) <= 1e-8 * scale
+
+    def test_every_equality_structure_up_to_twenty(self):
+        structures = _equality_structures(20)
+        assert len(structures) == 166
+        for s in structures:
+            assert is_equality_case(s), s
+            d = pl.assemble(s)
+            pattern = multiplier_pattern_matrix(s)
+            assert np.array_equal(d.a @ pattern @ d.b, d.b @ pattern @ d.a), s
+            assert np.linalg.matrix_rank(pattern) == s.rows, s
+            assert pl.matches_pattern(pattern, s), s
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_scrambled_catalog_with_scaled_b(self, catalog, scale):
+        # E A and E B commute exactly when E A and E (cB) do, so the
+        # construction must not depend on the scale of B
+        for s in filter(is_equality_case, catalog):
+            scrambled, _ = pl.scramble(pl.assemble(s), seed=s.rows)
+            p = pl.Pencil(scrambled.a, scale * scrambled.b)
+            e = pl.construct_multiplier(p)
+            ea, eb = e @ p.a, e @ p.b
+            scale_ab = max(np.linalg.norm(ea) * np.linalg.norm(eb), 1e-300)
+            assert np.linalg.norm(ea @ eb - eb @ ea) <= 1e-8 * scale_ab, s
+            assert pl.numerical_rank(e) == p.rows, s
+
+    def test_structured_draws_commute_to_rounding(self):
+        for seed in range(300):
+            a, b = random_commuting_pair(np.random.default_rng(seed), max_n=10, kind="structured")
+            relative = np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert relative <= 1e-13, (seed, relative)
 
 
 class TestSearchMultiplier:

@@ -1,16 +1,18 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import pencillab as pl
 from pencillab.generators import random_commuting_pair
+from pencillab.io import pencil_from_json
 
 
 def by_coords(points):
     return sorted(points, key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
 
-from conftest import complex_matrix
+from conftest import REPO, complex_matrix
 
 
 def _cross_oracle_disagreements(a, b, tol):
@@ -147,6 +149,34 @@ class TestTaylorSpectrum:
         scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
         assert len(got) == 1 and max(abs(got[0][0]), abs(got[0][1])) < 1e-8 * scale, got
         assert ts.multiplicities == (a.shape[0],)
+
+
+# "structured" draws (s < 3000, B scaled by 1, 1e-3 and 1e3, plus seed 5944)
+# on which taylor_spectrum raised OracleDisagreement when the generator's
+# multipliers commuted only to 1e-11 relative: their nilpotents carry more
+# than rounding error and split into rings wider than the eigenvalue discs.
+SPLIT_NILPOTENT_PAIRS = json.loads(
+    (REPO / "fixtures" / "split_nilpotent" / "pairs.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "entry", SPLIT_NILPOTENT_PAIRS, ids=lambda e: f"seed{e['seed']}-scale{e['scale']:g}"
+)
+def test_pinned_split_nilpotent_pair(entry):
+    p = pencil_from_json(entry)
+    n = p.rows
+    assert pl.check_commuting(p.a, p.b)
+    assert pl.is_singular(p)
+    # Once eigenvalue clustering merges a split nilpotent (ROADMAP open
+    # item 2), OracleDisagreement is no longer allowed here.
+    try:
+        ts = pl.taylor_spectrum(p.a, p.b)
+    except (pl.OracleDisagreement, pl.RankDecisionUnstable):
+        return
+    scale = max(1.0, np.linalg.norm(p.a), np.linalg.norm(p.b))
+    assert ts.multiplicities == (n,)
+    assert max(abs(ts.points[0][0]), abs(ts.points[0][1])) < 1e-8 * scale, ts.points
 
 
 class TestSpectrumOracles:

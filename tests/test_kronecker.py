@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import pencillab as pl
-from pencillab.kronecker import equivalence_transforms
 from pencillab.linalg import det_sample_nodes
 
 from conftest import complex_matrix
@@ -282,15 +281,24 @@ class TestEquivalenceTransforms:
         )
         target = pl.assemble(s)
         scrambled, _ = pl.scramble(target, seed=21)
-        smat, tmat = equivalence_transforms(scrambled, target, tol)
+        smat, tmat = pl.canonical_transforms(scrambled, s, tol)
         assert np.linalg.norm(smat @ scrambled.a @ tmat - target.a) < 1e-8
         assert np.linalg.norm(smat @ scrambled.b @ tmat - target.b) < 1e-8
+        assert pl.numerical_rank(smat) == pl.numerical_rank(tmat) == 4
 
     def test_unavailable_for_inequivalent(self, tol):
         p = pl.Pencil(np.eye(3), np.zeros((3, 3)))
-        target = pl.Pencil(np.zeros((3, 3)), np.zeros((3, 3)))
+        zero = pl.KroneckerStructure(row_minimal=[(0, 3)], col_minimal=[(0, 3)])
         with pytest.raises(pl.TransformUnavailable):
-            equivalence_transforms(p, target, tol)
+            pl.canonical_transforms(p, zero, tol)
+        # a 4 x 4 singular-only structure that is not the scrambled pencil's
+        scrambled, _ = pl.scramble(pl.assemble(pl.KroneckerStructure(
+            row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])), seed=21)
+        other = pl.KroneckerStructure(row_minimal=[(0, 1), (2, 1)], col_minimal=[(0, 2)])
+        with pytest.raises(pl.TransformUnavailable):
+            pl.canonical_transforms(scrambled, other, tol)
+        with pytest.raises(pl.InvalidStructure):
+            pl.canonical_transforms(scrambled, pl.KroneckerStructure(jordan=[(4, 1.0)]), tol)
 
 
 def _scaled(s: pl.KroneckerStructure, c: complex) -> pl.KroneckerStructure:
