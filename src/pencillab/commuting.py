@@ -319,16 +319,15 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
             "block multiplicities satisfy the feasibility inequalities only strictly; "
             "the explicit construction needs the equality case"
         )
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
     smat, tmat = canonical_transforms(p.balanced()[0], structure, tol)
     e = tmat @ multiplier_pattern_matrix(structure) @ smat
     ea, eb = e @ p.a, e @ p.b
     scale = max(float(np.linalg.norm(ea)) * float(np.linalg.norm(eb)), 1e-300)
     commutator = float(np.linalg.norm(ea @ eb - eb @ ea))
-    if numerical_rank(e, tol) != n or commutator > 1e-8 * scale:
+    rank = numerical_rank(e, tol)
+    if rank != n or commutator > 1e-8 * scale:
         raise TransformUnavailable(
-            f"multiplier check failed: rank {numerical_rank(e, tol)} of {n}, "
+            f"multiplier check failed: rank {rank} of {n}, "
             f"relative commutator {commutator / scale:.3e}"
         )
     return e
