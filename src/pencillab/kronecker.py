@@ -3,9 +3,10 @@
 Block builders, assembly of canonical pencils, random equivalence
 scrambling, and the staircase recovery of the invariants: minimal indices
 through nullities of block-Toeplitz resultant matrices, regular structure
-through chain (Weyr-type) rank sequences at infinity and at the finite
-eigenvalue clusters (:func:`~pencillab.linalg.disc_clusters`) that two
-random rank-completing projections share.
+through Van Dooren's per-point staircase of n x n compressions, at
+infinity and at the finite eigenvalue clusters
+(:func:`~pencillab.linalg.disc_clusters`) that two random rank-completing
+projections share.
 The staircase recovers structure only; for singular-only structures,
 :func:`canonical_transforms` builds the equivalence transforms to the
 canonical form from minimal polynomial bases.
@@ -26,9 +27,9 @@ from .errors import (
 )
 from .linalg import (
     RANK_GUARD,
+    _clusters,
     det_sample_nodes,
     det_zero_sweep,
-    disc_clusters,
     eigenvalue_discs,
     node_stack,
     numerical_rank,
@@ -279,8 +280,8 @@ def scramble(p: Pencil, seed: int, max_cond: float = 100.0) -> tuple[Pencil, Equ
 # staircase rank decisions
 
 
-def _staircase_rank(m: np.ndarray, tol: ToleranceConfig, context: str, scale: float = 0.0) -> int:
-    """Numerical rank that refuses to guess inside the guard band.
+def _staircase_rank(sigma, shape, tol: ToleranceConfig, context: str, scale: float = 0.0) -> int:
+    """Numerical rank, from the singular values of a matrix of ``shape``, that refuses to guess.
 
     ``scale`` anchors the cutoff to the ambient problem magnitude, so a
     shifted matrix that degenerates to pure rounding noise is still read
@@ -288,14 +289,13 @@ def _staircase_rank(m: np.ndarray, tol: ToleranceConfig, context: str, scale: fl
     the cutoff means the decision is not trustworthy at this tolerance,
     which the staircase reports rather than silently guessing.
     """
-    s = singular_values(m)
-    rank, thr, margin = rank_decision(s, m.shape, scale, tol)
+    rank, thr, margin = rank_decision(sigma, shape, scale, tol)
     if margin <= RANK_GUARD:
-        sigma = float(s[(s >= thr / RANK_GUARD) & (s <= thr * RANK_GUARD)][0])
+        s = float(sigma[(sigma >= thr / RANK_GUARD) & (sigma <= thr * RANK_GUARD)][0])
         raise RankDecisionUnstable(
-            f"{context}: singular value {sigma:.3e} within a factor {RANK_GUARD:g} "
+            f"{context}: singular value {s:.3e} within a factor {RANK_GUARD:g} "
             f"of cutoff {thr:.3e}",
-            sigma=sigma,
+            sigma=s,
             threshold=float(thr),
         )
     return int(rank)
@@ -375,8 +375,9 @@ def _minimal_indices(
     k = 0
     reached = 0
     while reached < total:
+        t = _toeplitz_resultant(p, k)
         nullity = (k + 1) * p.cols - _staircase_rank(
-            _toeplitz_resultant(p, k), tol, f"kernel resultant k={k}", scale=p.norm_scale()
+            singular_values(t), t.shape, tol, f"kernel resultant k={k}", scale=p.norm_scale()
         )
         delta = nullity - prev_nullity
         count_k = delta - prev_delta
@@ -397,58 +398,60 @@ def _minimal_indices(
 
 
 # ---------------------------------------------------------------------------
-# regular structure via chain rank sequences
-
-
-def _chain_matrix(a0: np.ndarray, bc: np.ndarray, k: int) -> np.ndarray:
-    """Block lower-bidiagonal system whose kernel holds chains of length k+1."""
-    m, n = a0.shape
-    s = np.zeros(((k + 1) * m, (k + 1) * n), dtype=complex)
-    for j in range(k + 1):
-        s[j * m : (j + 1) * m, j * n : (j + 1) * n] = a0
-        if j > 0:
-            s[j * m : (j + 1) * m, (j - 1) * n : j * n] = bc
-    return s
+# regular structure via Van Dooren's per-point staircase
 
 
 def _chain_sizes(
-    a0: np.ndarray,
-    bc: np.ndarray,
-    kernel_offset: int,
-    cap: int,
-    tol: ToleranceConfig,
-    context: str,
-    scale: float = 0.0,
+    a0: np.ndarray, bc: np.ndarray, kernel_offset: int, cap: int, tol: ToleranceConfig,
+    context: str, scale: float = 0.0, factors: tuple | None = None,
 ) -> list[int]:
-    """Block sizes of the point structure from nullity first differences.
+    """Block sizes at one point from Van Dooren's staircase (LAA 1979) on n x n compressions.
 
-    Each column-minimal block inflates every chain space by one dimension
-    per degree, which ``kernel_offset`` subtracts away.
+    With A0 = U S V* of rank r, N0 = V[:, r:] spans its kernel (dimension
+    d0) and Q = U[:, r:] its cokernel; E_k spans the last members x_k of
+    the chains A0 x_0 = 0, A0 x_j = -B x_(j-1), from E_0 = N0.  A chain
+    extends exactly when Q* B x_(k-1) = 0, so step k adds
+    d0 - rank(Q* B E_(k-1)) to the nullity of the (k+1)m x (k+1)n chain
+    system, and E_k = [N0, orth(A0^+ B E_(k-1) K)] with K spanning the
+    kernel of Q* B E_(k-1).  A0^+ maps into the complement of N0, so E_k
+    needs no re-orthogonalization.  The range of B E_(k-1) K takes its own
+    rank decision, since an L block's chain ends with B x = 0.  Cutoffs
+    anchor at ``scale`` and at the size of the chain system; each
+    column-minimal block adds one to every step, which ``kernel_offset``
+    subtracts away.  ``factors`` is a full SVD (U, S, V*) of A0 that the
+    caller has; without it, vectors are computed only once a chain starts.
     """
-    n = a0.shape[1]
+    m, n = a0.shape
+    sigma = np.linalg.svd(a0, compute_uv=False) if factors is None else factors[1]
+    r = _staircase_rank(sigma, (m, n), tol, f"{context} chain k=0", scale)
+    d0 = n - r
+    count = d0 - kernel_offset
+    if count <= 0:
+        return []
+    u, sigma, vh = np.linalg.svd(a0) if factors is None else factors
+    kernel0 = chain_ends = vh[r:].conj().T
+    cokernel = u[:, r:].conj().T
     counts_ge: list[int] = []
-    prev_nullity = 0
-    k = 0
-    while True:
-        nullity = (k + 1) * n - _staircase_rank(
-            _chain_matrix(a0, bc, k), tol, f"{context} chain k={k}", scale=scale
-        )
-        step = nullity - prev_nullity
-        count = step - kernel_offset
-        if count <= 0:
-            break
+    while count > 0:
         counts_ge.append(count)
-        prev_nullity = nullity
-        k += 1
+        k = len(counts_ge)
         if k > cap:
-            raise RankDecisionUnstable(
-                f"{context}: chain sequence exceeded the size bound {cap}"
-            )
-    sizes: list[int] = []
-    for j, c in enumerate(counts_ge):
-        nxt = counts_ge[j + 1] if j + 1 < len(counts_ge) else 0
-        sizes.extend([j + 1] * (c - nxt))
-    return sizes
+            raise RankDecisionUnstable(f"{context}: chain sequence exceeded the bound {cap}")
+        shape = ((k + 1) * m, (k + 1) * n)
+        images = bc @ chain_ends
+        blocked = cokernel @ images
+        rank = _staircase_rank(
+            np.linalg.svd(blocked, compute_uv=False), shape, tol, f"{context} chain k={k}", scale
+        )
+        count = d0 - rank - kernel_offset
+        if count > 0:
+            extend = np.linalg.svd(blocked)[2][rank:].conj().T
+            w, s, _ = np.linalg.svd(images @ extend, full_matrices=False)
+            w = w[:, : _staircase_rank(s, shape, tol, f"{context} chain k={k} image", scale)]
+            steps = vh[:r].conj().T @ ((u[:, :r].conj().T @ w) / sigma[:r, None])
+            chain_ends = np.hstack([kernel0, np.linalg.qr(steps)[0]])
+    counts_ge.append(0)
+    return [j + 1 for j, c in enumerate(counts_ge[:-1]) for _ in range(c - counts_ge[j + 1])]
 
 
 def _finite_regular_structure(
@@ -467,10 +470,15 @@ def _finite_regular_structure(
     Plestenjak, SIMAX 2019).  An eigenvalue of the first is kept when the
     second has one within twice the smaller of their chordal radii, so a
     wide ring in one projection cannot claim a sharp spurious eigenvalue
-    of the other.  The kept eigenvalues are clustered, and the chain rank
-    sequence at each cluster mean gives that point's block sizes, which
-    must tile the finite regular part; anything else raises
-    :class:`RankDecisionUnstable`.
+    of the other.  The kept eigenvalues are clustered.  A spurious
+    eigenvalue that joins one projection's ring moves only that
+    projection's mean, so a cluster of several members is decided at its
+    mean or at the mean of the second projection's eigenvalues linked to
+    it, whichever has the smaller sigma_r(A + lam B) at the normal rank r
+    (L blocks make sigma_min zero everywhere).  The one SVD there serves
+    the test that skips a point of full rank r and the first step of
+    :func:`_chain_sizes`.  The block sizes at all points must tile the
+    finite regular part; anything else raises :class:`RankDecisionUnstable`.
     """
     m, n = p.shape
     discs = []
@@ -480,16 +488,30 @@ def _finite_regular_structure(
         discs.append(eigenvalue_discs(u @ p.a @ v, u @ p.b @ v))
     (alpha, beta, radius), (alpha2, beta2, radius2) = discs
     chordal = np.abs(np.outer(alpha, beta2) - np.outer(beta, alpha2))
-    shared = np.any(chordal <= 2.0 * np.minimum(radius[:, None], radius2[None, :]), axis=1)
-    spectrum = disc_clusters(alpha[shared], beta[shared], radius[shared])
+    near = chordal <= 2.0 * np.minimum(radius[:, None], radius2[None, :])
+    shared = near.any(axis=1)
+    near = near[shared]
+    spectrum, labels, roots = _clusters(alpha[shared], beta[shared], radius[shared], 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = alpha2 / beta2
     base = p.norm_scale()
     jordan: list[tuple[int, complex]] = []
-    for lam in spectrum.values:
+    for lam, root in zip(spectrum.values, roots):
+        members = labels == root
+        candidates = [lam]
+        if members.sum() > 1:
+            with np.errstate(invalid="ignore"):
+                candidates.append(complex(second[near[members].any(axis=0)].mean()))
+        shifted = [(z, p.a + z * p.b) for z in candidates if np.isfinite(z)]
+        lam, a0, factors = min(
+            ((z, a0, np.linalg.svd(a0)) for z, a0 in shifted), key=lambda point: point[2][1][r - 1]
+        )
         point_scale = base * max(1.0, abs(lam))
-        if numerical_rank(p.at(lam), tol, scale=point_scale) >= r:
+        if rank_decision(factors[1], (m, n), point_scale, tol)[0] >= r:
             continue
         sizes = _chain_sizes(
-            p.at(lam), p.b, s_right, g_finite, tol, f"structure at {lam:.6g}", scale=point_scale
+            a0, p.b, s_right, g_finite, tol, f"structure at {lam:.6g}",
+            scale=point_scale, factors=factors,
         )
         jordan.extend((size, -lam) for size in sizes)
     total = sum(size for size, _ in jordan)
@@ -513,9 +535,9 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
 
     Column minimal indices come from the kernel resultant nullities of the
     pencil, row minimal indices from the transposed pencil, nilpotent
-    sizes from chain sequences with the roles of A and B swapped, and the
-    finite regular structure from chain sequences at the QZ eigenvalue
-    clusters shared by two random rank-r projections.  A final shape audit
+    sizes from the chain staircase with the roles of A and B swapped, and
+    the finite regular structure from the chain staircase at the QZ
+    eigenvalue clusters shared by two random rank-r projections.  A final shape audit
     must account for every row and column; anything unexplained raises
     :class:`RankDecisionUnstable`.
 

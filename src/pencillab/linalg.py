@@ -104,8 +104,10 @@ def rank_decision(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig
     along its last axis; leading axes index a stack of matrices, against
     which ``scale`` broadcasts.  The margin is the factor between the
     cutoff and the nearest singular value, infinite when all are zero.
+    Singular values are read as |sigma|, since a full SVD of a matrix with
+    signed zero entries can return -0.0.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = np.abs(np.asarray(sigma, dtype=float))
     cutoff = tol.rank_rel_tol * np.maximum(sigma.max(axis=-1, initial=0.0), scale) * max(shape)
     cut = cutoff[..., None]
     closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), np.finfo(float).tiny)

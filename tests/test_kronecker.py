@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import pencillab as pl
 from pencillab.linalg import det_sample_nodes
 
-from conftest import complex_matrix
+from conftest import REPO, complex_matrix
 
 
 def _unitary(n, rng):
@@ -387,3 +389,120 @@ class TestFiniteSpectrum:
         p = pl.Pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         with pytest.raises(pl.RankDecisionUnstable, match="cross-matched, 3 needed"):
             pl.staircase_structure(p, tol)
+
+
+def _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale):
+    """Chain sizes from the nullities of the stacked (k+1)m x (k+1)n chain systems.
+
+    The system has A0 on its block diagonal and B below it, so its kernel
+    holds the chains of length k+1; the first differences of the
+    nullities, less ``kernel_offset``, count the chains of each length.
+    """
+    from pencillab.kronecker import _staircase_rank
+
+    m, n = a0.shape
+    counts_ge: list[int] = []
+    prev_nullity = 0
+    for k in range(cap + 1):
+        system = np.zeros(((k + 1) * m, (k + 1) * n), dtype=complex)
+        for j in range(k + 1):
+            system[j * m : (j + 1) * m, j * n : (j + 1) * n] = a0
+            if j > 0:
+                system[j * m : (j + 1) * m, (j - 1) * n : j * n] = bc
+        sigma = np.linalg.svd(system, compute_uv=False)
+        nullity = (k + 1) * n - _staircase_rank(sigma, system.shape, tol, "stacked", scale)
+        count = nullity - prev_nullity - kernel_offset
+        if count <= 0:
+            break
+        counts_ge.append(count)
+        prev_nullity = nullity
+    sizes: list[int] = []
+    for j, c in enumerate(counts_ge):
+        nxt = counts_ge[j + 1] if j + 1 < len(counts_ge) else 0
+        sizes.extend([j + 1] * (c - nxt))
+    return sizes
+
+
+STAIRCASE_FIXTURES = sorted((REPO / "fixtures" / "staircase").glob("*.json"))
+
+
+class TestChainStaircase:
+    @pytest.mark.parametrize("path", STAIRCASE_FIXTURES, ids=lambda path: path.stem)
+    def test_pinned_hard_pencil(self, tol, path):
+        # a spurious projected eigenvalue beside a Jordan ring moves the
+        # first projection's cluster mean off the point
+        from pencillab.io import pencil_from_json, structure_from_json
+
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        expected = structure_from_json(doc["structure"])
+        got = pl.staircase_structure(pencil_from_json(doc), tol)
+        assert pl.structures_match(got, expected, tol), got
+
+    def test_size_24_draw_with_a_spoilt_cluster_mean(self, tol):
+        # draw 150 of test_structures_up_to_size_24's corpus at rng seed
+        # 2428, an even draw and so with B unscaled
+        from pencillab.generators import random_structure
+
+        rng = np.random.default_rng(2428)
+        for i in range(151):
+            s = random_structure(rng, max_size=24)
+            if i % 2:
+                rng.uniform(-3.0, 3.0)
+        scrambled, _ = pl.scramble(pl.assemble(s), seed=26578, max_cond=100.0)
+        got = pl.staircase_structure(scrambled, tol)
+        assert pl.structures_match(got, s, tol), got
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_chain_sizes_match_the_stacked_systems(self, tol, c, monkeypatch):
+        from pencillab import kronecker
+        from pencillab.generators import random_structure
+
+        decided = []
+        chain_sizes = kronecker._chain_sizes
+
+        def spy(a0, bc, kernel_offset, cap, tol, context, scale=0.0, factors=None):
+            sizes = chain_sizes(a0, bc, kernel_offset, cap, tol, context, scale, factors)
+            decided.append((a0, bc, kernel_offset, cap, scale, sizes))
+            return sizes
+
+        monkeypatch.setattr(kronecker, "_chain_sizes", spy)
+        rng = np.random.default_rng(1979)
+        offsets, sizes = set(), set()
+        for i in range(24):
+            # direct sums of 1, 2 or 5 draws, up to about 48 x 48
+            parts = [random_structure(rng, max_size=12) for _ in range((1, 2, 5)[i % 3])]
+            s = pl.KroneckerStructure(*(sum((getattr(part, field) for part in parts), ()) for field
+                                        in ("col_minimal", "row_minimal", "jordan", "nilpotent")))
+            p = pl.assemble(s)
+            scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=19000 + i, max_cond=100.0)
+            got = pl.staircase_structure(scrambled, tol)
+            assert pl.structures_match(_scaled(got, c), s, tol), f"case {i}: {got}"
+            sizes.add(p.shape)
+            for a0, bc, kernel_offset, cap, scale, chains in decided:
+                assert _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale) == chains
+                offsets.add(kernel_offset)
+            decided.clear()
+        assert len(offsets) > 1  # some pencils have column-minimal blocks
+        assert max(max(shape) for shape in sizes) > 24
+
+    def test_chain_stage_factors_no_matrix_larger_than_the_pencil(self, tol, monkeypatch):
+        n = 24
+        rng = np.random.default_rng(24)
+        lam = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        s = pl.KroneckerStructure(jordan=[(1, z) for z in lam])
+        scrambled, _ = pl.scramble(pl.assemble(s), seed=24, max_cond=100.0)
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        got = pl.staircase_structure(scrambled, tol)
+        monkeypatch.undo()
+        assert pl.structures_match(got, s, tol), got
+        assert max(max(shape[-2:]) for shape in shapes) <= n
+        # one factorization at each simple eigenvalue, and one of B, whose
+        # full rank ends the infinite structure
+        assert shapes.count((n, n)) == n + 1

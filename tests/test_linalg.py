@@ -92,6 +92,13 @@ class TestRankAndKernel:
             assert rank == pl.numerical_rank(m, scale=scale)
         assert np.all(margins[:3] > 10) and margins[3] == np.inf
 
+    def test_rank_decision_reads_signed_zeros_as_zero(self):
+        # a full SVD of a matrix with -0.0 entries can return -0.0
+        from pencillab.linalg import rank_decision
+
+        rank, _, margin = rank_decision(np.array([0.0, -0.0]), (2, 2), 1.0)
+        assert rank == 0 and margin == np.inf
+
     def test_null_space_identity(self):
         assert pl.null_space(np.eye(3)).shape == (3, 0)
 
