@@ -537,9 +537,9 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     pencil, row minimal indices from the transposed pencil, nilpotent
     sizes from the chain staircase with the roles of A and B swapped, and
     the finite regular structure from the chain staircase at the QZ
-    eigenvalue clusters shared by two random rank-r projections.  A final shape audit
-    must account for every row and column; anything unexplained raises
-    :class:`RankDecisionUnstable`.
+    eigenvalue clusters shared by two random rank-r projections.  A final
+    shape audit must account for every row and column; anything
+    unexplained raises :class:`RankDecisionUnstable`.
 
     Every stage runs on the balanced pencil A + w (rho B) with
     rho = |A|_F / |B|_F, whose eigenvalues are w = lam / rho, so rank

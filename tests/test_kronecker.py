@@ -467,7 +467,7 @@ class TestChainStaircase:
 
         monkeypatch.setattr(kronecker, "_chain_sizes", spy)
         rng = np.random.default_rng(1979)
-        offsets, sizes = set(), set()
+        offsets, shapes = set(), set()
         for i in range(24):
             # direct sums of 1, 2 or 5 draws, up to about 48 x 48
             parts = [random_structure(rng, max_size=12) for _ in range((1, 2, 5)[i % 3])]
@@ -477,13 +477,13 @@ class TestChainStaircase:
             scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=19000 + i, max_cond=100.0)
             got = pl.staircase_structure(scrambled, tol)
             assert pl.structures_match(_scaled(got, c), s, tol), f"case {i}: {got}"
-            sizes.add(p.shape)
+            shapes.add(p.shape)
             for a0, bc, kernel_offset, cap, scale, chains in decided:
                 assert _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale) == chains
                 offsets.add(kernel_offset)
             decided.clear()
         assert len(offsets) > 1  # some pencils have column-minimal blocks
-        assert max(max(shape) for shape in sizes) > 24
+        assert max(max(shape) for shape in shapes) > 24
 
     def test_chain_stage_factors_no_matrix_larger_than_the_pencil(self, tol, monkeypatch):
         n = 24
