@@ -33,8 +33,8 @@ class ToleranceConfig:
         clustering radius: eigenvalue clusters come from each
         eigenvalue's own perturbation disc.
     rng_seed
-        Seed for every internal randomized step (projections, searches),
-        so results are reproducible.
+        Seed for every internal randomized step (the isotropic and
+        multiplier searches), so results are reproducible.
     """
 
     rank_rel_tol: float = 1e-10

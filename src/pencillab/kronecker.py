@@ -1,12 +1,13 @@
 """Kronecker canonical structure of matrix pencils.
 
 Block builders, assembly of canonical pencils, random equivalence
-scrambling, and the staircase recovery of the invariants: minimal indices
-through nullities of block-Toeplitz resultant matrices, regular structure
-through Van Dooren's per-point staircase of n x n compressions, at
-infinity and at the finite eigenvalue clusters
-(:func:`~pencillab.linalg.disc_clusters`) that two random rank-completing
-projections share.
+scrambling, and the deterministic staircase recovery of the invariants:
+Van Dooren's column compressions of (B, A) split off the column minimal
+indices and the chains at infinity, the same compressions of the
+transposed remainder split off the row minimal indices, and one QZ of the
+square regular block that remains gives the finite eigenvalue clusters
+(:func:`~pencillab.linalg.disc_clusters`), whose Jordan chains come from
+the per-point staircase of compressions of that block.
 The staircase recovers structure only; for singular-only structures,
 :func:`canonical_transforms` builds the equivalence transforms to the
 canonical form from minimal polynomial bases.
@@ -27,9 +28,9 @@ from .errors import (
 )
 from .linalg import (
     RANK_GUARD,
-    _clusters,
     det_sample_nodes,
     det_zero_sweep,
+    disc_clusters,
     eigenvalue_discs,
     node_stack,
     numerical_rank,
@@ -340,7 +341,7 @@ def _rank_sweep(
 
 
 # ---------------------------------------------------------------------------
-# minimal indices via block-Toeplitz nullities
+# polynomial kernel vectors
 
 
 def _toeplitz_resultant(p: Pencil, k: int) -> np.ndarray:
@@ -358,52 +359,54 @@ def _toeplitz_resultant(p: Pencil, k: int) -> np.ndarray:
         t[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = p.b
     return t
 
-def _minimal_indices(
-    p: Pencil, total: int, tol: ToleranceConfig
-) -> tuple[tuple[int, int], ...]:
-    """Column minimal indices from first differences of kernel dimensions.
-
-    The space of polynomial kernel vectors of degree <= k has dimension
-    sum over minimal indices e of max(0, k + 1 - e); its first difference
-    in k counts the indices <= k.
-    """
-    if total <= 0:
-        return ()
-    counts: list[int] = []
-    prev_nullity = 0
-    prev_delta = 0
-    k = 0
-    reached = 0
-    while reached < total:
-        t = _toeplitz_resultant(p, k)
-        nullity = (k + 1) * p.cols - _staircase_rank(
-            singular_values(t), t.shape, tol, f"kernel resultant k={k}", scale=p.norm_scale()
-        )
-        delta = nullity - prev_nullity
-        count_k = delta - prev_delta
-        if count_k < 0 or delta > total:
-            raise RankDecisionUnstable(
-                f"inconsistent kernel dimension sequence at degree {k}: "
-                f"nullities do not form a valid staircase"
-            )
-        counts.append(count_k)
-        reached = delta
-        prev_nullity, prev_delta = nullity, delta
-        k += 1
-        if k > p.cols + 1:
-            raise RankDecisionUnstable(
-                "minimal index search exceeded the dimension bound; rank sequence unreliable"
-            )
-    return tuple((e, c) for e, c in enumerate(counts) if c > 0)
-
 
 # ---------------------------------------------------------------------------
-# regular structure via Van Dooren's per-point staircase
+# the staircase
+
+
+def _compressions(e: np.ndarray, f: np.ndarray, tol: ToleranceConfig, context: str, scale: float):
+    """Column compressions of E + mu F down to an E of full column rank.
+
+    Step i takes the kernel of the trailing block of E, of dimension nu_i,
+    rotates it to the front of E and F, and compresses the rows of F on
+    those columns to its rank mu_i; the rows and columns left over form the
+    next trailing block (Van Dooren, LAA 1979; Beelen & Van Dooren, LAA
+    1988).  The staircase ends nu_i - mu_i blocks L_(i-1) and
+    mu_i - nu_(i+1) Jordan blocks of size i at mu = 0 at step i, which
+    needs nu_i >= mu_i >= nu_(i+1); run on (B, A) and then on the
+    transposed remainder, it splits off both singular parts and the
+    infinite chains in the order GUPTRI uses (Demmel & Kagstrom, ACM TOMS
+    1993).  Returns (column minimal indices, Jordan sizes at mu = 0, the
+    trailing E and F, and the Frobenius norm of every singular value set
+    to zero, the backward error of the compressions).
+    """
+    shape = e.shape
+    nus: list[int] = []
+    mus: list[int] = []
+    dropped = 0.0
+    while True:
+        u, sigma, vh = np.linalg.svd(e)
+        r = _staircase_rank(sigma, shape, tol, f"{context} step {len(nus) + 1} kernel", scale)
+        nus.append(e.shape[1] - r)
+        if not nus[-1]:
+            break
+        v = vh.conj().T
+        u1, sigma1, _ = np.linalg.svd(f @ v[:, r:])
+        mus.append(_staircase_rank(sigma1, shape, tol, f"{context} step {len(nus)} rows", scale))
+        dropped += float(np.sum(sigma[r:] ** 2) + np.sum(sigma1[mus[-1] :] ** 2))
+        rows = u1[:, mus[-1] :].conj().T
+        e, f = rows @ (u[:, :r] * sigma[:r]), rows @ (f @ v[:, :r])
+    if any(nu < mu or mu < nxt for nu, mu, nxt in zip(nus, mus, nus[1:])):
+        raise RankDecisionUnstable(f"{context}: kernel dimensions {nus} and ranks {mus} "
+                                   "do not form a staircase")
+    minimal = tuple((i, nu - mu) for i, (nu, mu) in enumerate(zip(nus, mus)) if nu > mu)
+    chains = [i + 1 for i, (mu, nxt) in enumerate(zip(mus, nus[1:])) for _ in range(mu - nxt)]
+    return minimal, chains, e, f, np.sqrt(dropped)
 
 
 def _chain_sizes(
-    a0: np.ndarray, bc: np.ndarray, kernel_offset: int, cap: int, tol: ToleranceConfig,
-    context: str, scale: float = 0.0, factors: tuple | None = None,
+    a0: np.ndarray, bc: np.ndarray, cap: int, tol: ToleranceConfig, context: str,
+    scale: float = 0.0,
 ) -> list[int]:
     """Block sizes at one point from Van Dooren's staircase (LAA 1979) on n x n compressions.
 
@@ -414,21 +417,14 @@ def _chain_sizes(
     d0 - rank(Q* B E_(k-1)) to the nullity of the (k+1)m x (k+1)n chain
     system, and E_k = [N0, orth(A0^+ B E_(k-1) K)] with K spanning the
     kernel of Q* B E_(k-1).  A0^+ maps into the complement of N0, so E_k
-    needs no re-orthogonalization.  The range of B E_(k-1) K takes its own
-    rank decision, since an L block's chain ends with B x = 0.  Cutoffs
-    anchor at ``scale`` and at the size of the chain system; each
-    column-minimal block adds one to every step, which ``kernel_offset``
-    subtracts away.  ``factors`` is a full SVD (U, S, V*) of A0 that the
-    caller has; without it, vectors are computed only once a chain starts.
+    needs no re-orthogonalization, and B is invertible on a regular block,
+    so A0^+ B E_(k-1) K keeps full column rank.  Cutoffs anchor at
+    ``scale`` and at the size of the chain system.
     """
     m, n = a0.shape
-    sigma = np.linalg.svd(a0, compute_uv=False) if factors is None else factors[1]
+    u, sigma, vh = np.linalg.svd(a0)
     r = _staircase_rank(sigma, (m, n), tol, f"{context} chain k=0", scale)
-    d0 = n - r
-    count = d0 - kernel_offset
-    if count <= 0:
-        return []
-    u, sigma, vh = np.linalg.svd(a0) if factors is None else factors
+    d0 = count = n - r
     kernel0 = chain_ends = vh[r:].conj().T
     cokernel = u[:, r:].conj().T
     counts_ge: list[int] = []
@@ -439,107 +435,31 @@ def _chain_sizes(
             raise RankDecisionUnstable(f"{context}: chain sequence exceeded the bound {cap}")
         shape = ((k + 1) * m, (k + 1) * n)
         images = bc @ chain_ends
-        blocked = cokernel @ images
-        rank = _staircase_rank(
-            np.linalg.svd(blocked, compute_uv=False), shape, tol, f"{context} chain k={k}", scale
-        )
-        count = d0 - rank - kernel_offset
+        _, s, blocked_vh = np.linalg.svd(cokernel @ images)
+        rank = _staircase_rank(s, shape, tol, f"{context} chain k={k}", scale)
+        count = d0 - rank
         if count > 0:
-            extend = np.linalg.svd(blocked)[2][rank:].conj().T
-            w, s, _ = np.linalg.svd(images @ extend, full_matrices=False)
-            w = w[:, : _staircase_rank(s, shape, tol, f"{context} chain k={k} image", scale)]
-            steps = vh[:r].conj().T @ ((u[:, :r].conj().T @ w) / sigma[:r, None])
+            extended = images @ blocked_vh[rank:].conj().T
+            steps = vh[:r].conj().T @ ((u[:, :r].conj().T @ extended) / sigma[:r, None])
             chain_ends = np.hstack([kernel0, np.linalg.qr(steps)[0]])
     counts_ge.append(0)
     return [j + 1 for j, c in enumerate(counts_ge[:-1]) for _ in range(c - counts_ge[j + 1])]
 
 
-def _finite_regular_structure(
-    p: Pencil,
-    r: int,
-    s_right: int,
-    g_finite: int,
-    tol: ToleranceConfig,
-    rng: np.random.Generator,
-) -> list[tuple[int, complex]]:
-    """Finite regular blocks of the pencil, validated against its size.
-
-    Two random rank-r projections U (A + lam B) V inherit every finite
-    spectrum point of the pencil with its multiplicity, while their
-    spurious eigenvalues almost surely differ (Hochstenbach, Mehl &
-    Plestenjak, SIMAX 2019).  An eigenvalue of the first is kept when the
-    second has one within twice the smaller of their chordal radii, so a
-    wide ring in one projection cannot claim a sharp spurious eigenvalue
-    of the other.  The kept eigenvalues are clustered.  A spurious
-    eigenvalue that joins one projection's ring moves only that
-    projection's mean, so a cluster of several members is decided at its
-    mean or at the mean of the second projection's eigenvalues linked to
-    it, whichever has the smaller sigma_r(A + lam B) at the normal rank r
-    (L blocks make sigma_min zero everywhere).  The one SVD there serves
-    the test that skips a point of full rank r and the first step of
-    :func:`_chain_sizes`.  The block sizes at all points must tile the
-    finite regular part; anything else raises :class:`RankDecisionUnstable`.
-    """
-    m, n = p.shape
-    discs = []
-    for _ in range(2):
-        u = (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))) / np.sqrt(m)
-        v = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))) / np.sqrt(n)
-        discs.append(eigenvalue_discs(u @ p.a @ v, u @ p.b @ v))
-    (alpha, beta, radius), (alpha2, beta2, radius2) = discs
-    chordal = np.abs(np.outer(alpha, beta2) - np.outer(beta, alpha2))
-    near = chordal <= 2.0 * np.minimum(radius[:, None], radius2[None, :])
-    shared = near.any(axis=1)
-    near = near[shared]
-    spectrum, labels, roots = _clusters(alpha[shared], beta[shared], radius[shared], 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second = alpha2 / beta2
-    base = p.norm_scale()
-    jordan: list[tuple[int, complex]] = []
-    for lam, root in zip(spectrum.values, roots):
-        members = labels == root
-        candidates = [lam]
-        if members.sum() > 1:
-            with np.errstate(invalid="ignore"):
-                candidates.append(complex(second[near[members].any(axis=0)].mean()))
-        shifted = [(z, p.a + z * p.b) for z in candidates if np.isfinite(z)]
-        lam, a0, factors = min(
-            ((z, a0, np.linalg.svd(a0)) for z, a0 in shifted), key=lambda point: point[2][1][r - 1]
-        )
-        point_scale = base * max(1.0, abs(lam))
-        if rank_decision(factors[1], (m, n), point_scale, tol)[0] >= r:
-            continue
-        sizes = _chain_sizes(
-            a0, p.b, s_right, g_finite, tol, f"structure at {lam:.6g}",
-            scale=point_scale, factors=factors,
-        )
-        jordan.extend((size, -lam) for size in sizes)
-    total = sum(size for size, _ in jordan)
-    if total == g_finite:
-        return jordan
-    matched = sum(spectrum.multiplicities)
-    check = (
-        f"only {matched} of {len(alpha)} projected eigenvalues cross-matched, {g_finite} needed"
-        if matched < g_finite
-        else f"block sizes at {len(spectrum.values)} points total {total}, not {g_finite}"
-    )
-    raise RankDecisionUnstable(f"finite regular structure unresolved: {check}")
-
-
-# ---------------------------------------------------------------------------
-# the staircase
-
-
 def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerStructure:
     """Kronecker invariants of a pencil (structure only, no transforms).
 
-    Column minimal indices come from the kernel resultant nullities of the
-    pencil, row minimal indices from the transposed pencil, nilpotent
-    sizes from the chain staircase with the roles of A and B swapped, and
-    the finite regular structure from the chain staircase at the QZ
-    eigenvalue clusters shared by two random rank-r projections.  A final
-    shape audit must account for every row and column; anything
-    unexplained raises :class:`RankDecisionUnstable`.
+    Column compressions of (B, A) split off the column minimal indices and
+    the chains at infinity; the same compressions of the transposed
+    remainder split off the row minimal indices (:func:`_compressions`).
+    What remains must be a square regular block whose B is invertible: one
+    QZ of it (:func:`~pencillab.linalg.eigenvalue_discs`, with discs
+    widened to the compressions' backward error) gives the finite
+    eigenvalue clusters, and :func:`_chain_sizes` at each cluster's mean
+    gives its Jordan sizes.  Chains in the left run, a remainder that is
+    not square, a cluster at infinity or block sizes that do not total the
+    regular block raise :class:`RankDecisionUnstable`.  The pipeline makes
+    no random draw.
 
     Every stage runs on the balanced pencil A + w (rho B) with
     rho = |A|_F / |B|_F, whose eigenvalues are w = lam / rho, so rank
@@ -547,42 +467,32 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     structure of (A, cB) is recovered as that of (A, B) with every finite
     eigenvalue divided by c.
     """
-    m, n = p.shape
-    if m == 0 or n == 0:
-        col = ((0, n),) if n else ()
-        row = ((0, m),) if m else ()
-        return KroneckerStructure(col_minimal=col, row_minimal=row)
-    rng = np.random.default_rng(tol.rng_seed ^ 0x5CA1AB1E)
     p, rho = p.balanced()
-    r, _ = normal_rank(p, tol)
-    s_right = n - r
-    s_left = m - r
-    col_minimal = _minimal_indices(p, s_right, tol)
-    row_minimal = _minimal_indices(p.transposed(), s_left, tol)
-
-    rows_singular = sum(e * mult for e, mult in col_minimal) + sum(
-        (d + 1) * mult for d, mult in row_minimal
-    )
-    cols_singular = sum((e + 1) * mult for e, mult in col_minimal) + sum(
-        d * mult for d, mult in row_minimal
-    )
-    g = m - rows_singular
-    if g != n - cols_singular or g < 0:
+    scale = p.norm_scale()
+    col_minimal, nilpotent, e, f, dropped = _compressions(p.b, p.a, tol, "columns", scale)
+    row_minimal, left_chains, e, f, dropped_left = _compressions(e.T, f.T, tol, "rows", scale)
+    g = len(e)
+    if left_chains or e.shape != (g, g):
         raise RankDecisionUnstable(
-            f"singular structure does not tile the pencil: {m - rows_singular} rows vs "
-            f"{n - cols_singular} columns left for the regular part"
+            f"the row compressions left chains {left_chains} and a {e.shape} remainder, "
+            "not a square regular block"
         )
-
-    nilpotent: list[int] = []
+    a, b = f.T, e.T
+    spectrum = disc_clusters(*eigenvalue_discs(a, b, error=np.hypot(dropped, dropped_left)))
+    if spectrum.infinite:
+        raise RankDecisionUnstable(f"{spectrum.infinite} eigenvalues of the regular block "
+                                   "cluster at infinity")
     jordan: list[tuple[int, complex]] = []
-    if g > 0:
-        base = p.norm_scale()
-        nilpotent = _chain_sizes(p.b, p.a, s_right, g, tol, "infinite structure", scale=base)
-        g_finite = g - sum(nilpotent)
-        if g_finite < 0:
-            raise RankDecisionUnstable("infinite structure exceeds the regular part")
-        if g_finite > 0:
-            jordan = _finite_regular_structure(p, r, s_right, g_finite, tol, rng)
+    for lam in spectrum.values:
+        sizes = _chain_sizes(a + lam * b, b, g, tol, f"structure at {lam:.6g}",
+                             scale=scale * max(1.0, abs(lam)))
+        jordan.extend((size, -lam) for size in sizes)
+    total = sum(size for size, _ in jordan)
+    if total != g:
+        raise RankDecisionUnstable(
+            f"finite regular structure unresolved: block sizes at {len(spectrum.values)} "
+            f"points total {total}, not {g}"
+        )
     return KroneckerStructure(
         col_minimal=col_minimal,
         row_minimal=row_minimal,

@@ -217,7 +217,7 @@ def _balanced(a, b):
     return a, scale * b, scale
 
 
-def eigenvalue_discs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eigenvalue_discs(a, b=None, error: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QZ eigenvalues of A + lam B (QR of the matrix A when B is None) with their discs.
 
     Returns (alpha, beta, radius): each eigenvalue lam = alpha / beta in
@@ -226,6 +226,9 @@ def eigenvalue_discs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``CLUSTER_RADIUS_FACTOR * kappa * eps * |(A, B)|_F`` with
     kappa = |x| |y| / |(y* A x, y* B x)| for right and left eigenvectors
     x, y (Stewart & Sun, ch. VI), capped at ``CLUSTER_RADIUS_CAP``.
+    ``error`` is a backward error already made in forming (A, B), such as
+    the singular values a staircase set to zero; it replaces
+    eps * |(A, B)|_F in the radius when larger.
     """
     try:
         if b is None:
@@ -245,7 +248,7 @@ def eigenvalue_discs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pencil_norm = math.hypot(np.linalg.norm(a), b_norm)
     with np.errstate(divide="ignore"):
         kappa = 1.0 / np.hypot(np.abs(yax), np.abs(ybx))
-    radius = CLUSTER_RADIUS_FACTOR * kappa * np.finfo(float).eps * pencil_norm
+    radius = CLUSTER_RADIUS_FACTOR * kappa * max(np.finfo(float).eps * pencil_norm, error)
     size = np.hypot(np.abs(alpha), np.abs(beta))
     return alpha / size, beta / size, np.minimum(radius, CLUSTER_RADIUS_CAP)
 

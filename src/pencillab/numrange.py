@@ -240,13 +240,18 @@ class InsideCertificate:
     weights: np.ndarray
 
     def is_valid(self, a, b) -> bool:
-        """Recompute the weighted range point from the vectors alone and test it."""
+        """Recompute the weighted range point from the vectors alone and test it.
+
+        The A pair and the B pair of its coordinates are each tested
+        against their own coefficient's norm.
+        """
         mats = _real_range_matrices(a, b)
         w, unit = self.weights, np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-12
         if len(w) == 0 or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12 or not unit.all():
             return False
         point = w @ np.array([_atom(mats, x) for x in self.vectors])
-        return np.linalg.norm(point) <= INSIDE_SLACK * max(np.linalg.norm(mats, axis=(1, 2)))
+        norms = _coefficient_norms(a, b)
+        return all(np.linalg.norm(point[k : k + 2]) <= INSIDE_SLACK * norms[k] for k in (0, 2))
 
 
 @dataclass(frozen=True)
@@ -277,6 +282,12 @@ def _real_range_matrices(a, b) -> np.ndarray:
     return np.stack([herm[0], skew[0], herm[1], skew[1]])
 
 
+def _coefficient_norms(a, b) -> np.ndarray:
+    """|A|_F, |A|_F, |B|_F, |B|_F: the norm of each range coordinate's coefficient, 1 if zero."""
+    norms = np.array([np.linalg.norm(a), np.linalg.norm(b)])
+    return np.repeat(np.where(norms > 0.0, norms, 1.0), 2)
+
+
 def _atom(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The point (x* M_i x)_i of the joint range in R^4."""
     return ((mats @ x) @ x.conj()).real
@@ -298,12 +309,20 @@ def conv_hull_membership(
     A bound above ``BOUNDARY_TOL`` times the scale is "outside", |p| within
     ``INSIDE_SLACK`` times it "inside", and a gap |p| - bound at rounding
     level or ``HULL_MAX_ITERATIONS`` calls "boundary".
+
+    The decision is made on (A/|A|_F, B/|B|_F), so that neither
+    coefficient's coordinates sit below the slack of the other's scale;
+    the verdict is unchanged under (A, B) -> (cA, dB), and a direction u
+    found there maps back as u_i / s_i for the norm s_i of coordinate i's
+    coefficient, with the same margin.  ``scale`` is that of the balanced
+    pair.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
     n = a.shape[0]
-    mats = _real_range_matrices(a, b)
+    norms = _coefficient_norms(a, b)
+    mats = _real_range_matrices(a, b) / norms[:, None, None]
     scale = float(max(np.linalg.norm(mats, axis=(1, 2))))
     point = np.trace(mats, axis1=1, axis2=2).real / max(n, 1)
     norm = float(np.linalg.norm(point))
@@ -312,11 +331,11 @@ def conv_hull_membership(
         return ConvHullMembership("inside", 0.0, np.eye(4)[0], scale, inside_certificate=cert)
     gap_floor = 100.0 * n * np.finfo(float).eps * scale  # rounding in eigh and NNLS
     vectors, atoms = np.empty((0, n), dtype=complex), np.empty((0, 4))
-    best, best_dir = -np.inf, point / norm
+    best, best_dir = -np.inf, point / norm / norms
     for iteration in range(1, HULL_MAX_ITERATIONS + 1):
         values, eigvecs = np.linalg.eigh(np.tensordot(point / norm, mats, axes=1))
         if values[0] > best:
-            best, best_dir = float(values[0]), point / norm
+            best, best_dir = float(values[0]), point / norm / norms
         if best > BOUNDARY_TOL * scale:
             cert = SeparationCertificate(direction=best_dir, margin=best)
             return ConvHullMembership("outside", best, best_dir, scale, cert, iterations=iteration)

@@ -382,13 +382,24 @@ class TestFiniteSpectrum:
         assert recovered >= 190  # the loud failures stay rare
 
     def test_unresolved_names_the_rejecting_check(self, tol, monkeypatch):
-        from pencillab import linalg
+        from pencillab import kronecker
 
-        # no two independent projections agree to within radii shrunk by 1e-300
-        monkeypatch.setattr(linalg, "CLUSTER_RADIUS_FACTOR", 1e-300)
+        # chain sizes that do not tile the regular block are refused, never returned
+        monkeypatch.setattr(kronecker, "_chain_sizes", lambda *args, **kwargs: [])
         p = pl.Pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-        with pytest.raises(pl.RankDecisionUnstable, match="cross-matched, 3 needed"):
+        with pytest.raises(pl.RankDecisionUnstable, match="at 3 points total 0, not 3"):
             pl.staircase_structure(p, tol)
+
+    def test_independent_of_the_seed(self):
+        s = pl.KroneckerStructure(
+            col_minimal=[(1, 1)], row_minimal=[(2, 1)],
+            jordan=[(2, 1.0), (1, -2j), (1, 0.5 + 0.5j)], nilpotent=[2],
+        )
+        scrambled, _ = pl.scramble(pl.assemble(s), seed=0, max_cond=100.0)
+        first, *others = (pl.staircase_structure(scrambled, pl.ToleranceConfig(rng_seed=k))
+                          for k in range(4))
+        assert pl.structures_match(first, s)
+        assert all(other == first for other in others)
 
 
 def _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale):
@@ -423,6 +434,44 @@ def _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale):
     return sizes
 
 
+def _toeplitz_minimal_indices(p, total, tol):
+    """Column minimal indices from first differences of block-Toeplitz kernel dimensions.
+
+    The space of polynomial kernel vectors of degree <= k has dimension
+    sum over minimal indices e of max(0, k + 1 - e); its first difference
+    in k counts the indices <= k, until it reaches ``total``.
+    """
+    from pencillab.kronecker import _staircase_rank, _toeplitz_resultant
+
+    counts: list[int] = []
+    prev_nullity = prev_delta = 0
+    while prev_delta < total:
+        k = len(counts)
+        assert k <= p.cols + 1, "kernel dimensions never reached the normal-rank deficiency"
+        t = _toeplitz_resultant(p, k)
+        sigma = np.linalg.svd(t, compute_uv=False)
+        nullity = (k + 1) * p.cols - _staircase_rank(sigma, t.shape, tol, "resultant",
+                                                     p.norm_scale())
+        delta = nullity - prev_nullity
+        counts.append(delta - prev_delta)
+        prev_nullity, prev_delta = nullity, delta
+    return tuple((e, c) for e, c in enumerate(counts) if c > 0)
+
+
+def _direct_sum_corpus(c):
+    """24 scrambled direct sums of 1, 2 or 5 random structures, up to about 48 x 48, B times c."""
+    from pencillab.generators import random_structure
+
+    rng = np.random.default_rng(1979)
+    for i in range(24):
+        parts = [random_structure(rng, max_size=12) for _ in range((1, 2, 5)[i % 3])]
+        s = pl.KroneckerStructure(*(sum((getattr(part, field) for part in parts), ()) for field
+                                    in ("col_minimal", "row_minimal", "jordan", "nilpotent")))
+        p = pl.assemble(s)
+        scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=19000 + i, max_cond=100.0)
+        yield i, s, scrambled
+
+
 STAIRCASE_FIXTURES = sorted((REPO / "fixtures" / "staircase").glob("*.json"))
 
 
@@ -455,35 +504,41 @@ class TestChainStaircase:
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_chain_sizes_match_the_stacked_systems(self, tol, c, monkeypatch):
         from pencillab import kronecker
-        from pencillab.generators import random_structure
 
         decided = []
         chain_sizes = kronecker._chain_sizes
 
-        def spy(a0, bc, kernel_offset, cap, tol, context, scale=0.0, factors=None):
-            sizes = chain_sizes(a0, bc, kernel_offset, cap, tol, context, scale, factors)
-            decided.append((a0, bc, kernel_offset, cap, scale, sizes))
+        def spy(a0, bc, cap, tol, context, scale=0.0):
+            sizes = chain_sizes(a0, bc, cap, tol, context, scale)
+            decided.append((a0, bc, cap, scale, sizes))
             return sizes
 
         monkeypatch.setattr(kronecker, "_chain_sizes", spy)
-        rng = np.random.default_rng(1979)
-        offsets, shapes = set(), set()
-        for i in range(24):
-            # direct sums of 1, 2 or 5 draws, up to about 48 x 48
-            parts = [random_structure(rng, max_size=12) for _ in range((1, 2, 5)[i % 3])]
-            s = pl.KroneckerStructure(*(sum((getattr(part, field) for part in parts), ()) for field
-                                        in ("col_minimal", "row_minimal", "jordan", "nilpotent")))
-            p = pl.assemble(s)
-            scrambled, _ = pl.scramble(pl.Pencil(p.a, c * p.b), seed=19000 + i, max_cond=100.0)
+        for i, s, scrambled in _direct_sum_corpus(c):
             got = pl.staircase_structure(scrambled, tol)
             assert pl.structures_match(_scaled(got, c), s, tol), f"case {i}: {got}"
-            shapes.add(p.shape)
-            for a0, bc, kernel_offset, cap, scale, chains in decided:
-                assert _stacked_chain_sizes(a0, bc, kernel_offset, cap, tol, scale) == chains
-                offsets.add(kernel_offset)
+            assert len(decided) == len({lam for _, lam in s.jordan})
+            for a0, bc, cap, scale, chains in decided:
+                assert _stacked_chain_sizes(a0, bc, 0, cap, tol, scale) == chains
             decided.clear()
-        assert len(offsets) > 1  # some pencils have column-minimal blocks
-        assert max(max(shape) for shape in shapes) > 24
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_compressions_match_the_resultant_and_stacked_oracles(self, tol, c):
+        seen, largest = set(), 0
+        for i, _, scrambled in _direct_sum_corpus(c):
+            largest = max(largest, *scrambled.shape)
+            got = pl.staircase_structure(scrambled, tol)
+            p = scrambled.balanced()[0]
+            r = pl.normal_rank(p, tol)[0]
+            assert got.col_minimal == _toeplitz_minimal_indices(p, p.cols - r, tol), f"case {i}"
+            assert got.row_minimal == _toeplitz_minimal_indices(
+                p.transposed(), p.rows - r, tol), f"case {i}"
+            # chains at infinity: A and B swapped, each column-minimal block adding one per step
+            infinite = _stacked_chain_sizes(p.b, p.a, p.cols - r, p.cols, tol, p.norm_scale())
+            assert got.nilpotent == tuple(infinite), f"case {i}"
+            seen.update(name for name in ("col_minimal", "row_minimal", "nilpotent")
+                        if getattr(got, name))
+        assert seen == {"col_minimal", "row_minimal", "nilpotent"} and largest > 24
 
     def test_chain_stage_factors_no_matrix_larger_than_the_pencil(self, tol, monkeypatch):
         n = 24
@@ -503,6 +558,6 @@ class TestChainStaircase:
         monkeypatch.undo()
         assert pl.structures_match(got, s, tol), got
         assert max(max(shape[-2:]) for shape in shapes) <= n
-        # one factorization at each simple eigenvalue, and one of B, whose
-        # full rank ends the infinite structure
-        assert shapes.count((n, n)) == n + 1
+        # one factorization at each simple eigenvalue, and one of B on each
+        # side, whose full rank ends both runs of compressions
+        assert shapes.count((n, n)) == n + 2

@@ -251,6 +251,19 @@ class TestConvHull:
             _assert_certified(res, a, b)
         assert verdicts == {"inside", "outside"}
 
+    def test_verdict_survives_rescaling(self):
+        # (z1, z2) -> (c z1, d z2) is invertible on R^4, so it cannot move
+        # the origin into the hull; deciding at the larger coefficient's
+        # scale put the smaller one's coordinates below the slack
+        rng = np.random.default_rng(197)
+        a, b = random_commuting_pair(rng, max_n=8, kind="blockdiag")
+        c, d = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        assert c == pytest.approx(1.063e-3, rel=1e-3) and d == pytest.approx(368.3, rel=1e-3)
+        for x, y in ((a, b), (c * a, d * b)):
+            res = pl.conv_hull_membership(x, y)
+            assert res.verdict == "outside"
+            assert res.certificate.is_valid(x, y)
+
     def test_sample_consistency(self, rng):
         # outside verdicts must dominate every sampled range point
         a = np.eye(3) + 0.1 * complex_matrix(rng, 3, 3)
