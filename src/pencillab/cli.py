@@ -78,8 +78,8 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
         "input": {
             "rows": p.rows,
             "cols": p.cols,
-            "norm_a": float(np.linalg.norm(p.a)),
-            "norm_b": float(np.linalg.norm(p.b)),
+            "norm_a": p.norms[0],
+            "norm_b": p.norms[1],
         },
         "tolerances": {
             "rank_rel_tol": tol.rank_rel_tol,

@@ -366,7 +366,7 @@ def search_multiplier(
     if dim == 0:
         return MultiplierSearchResult(found=False, multiplier=None, attempts=0)
     rng = np.random.default_rng(tol.rng_seed if seed is None else seed)
-    scale_ab = max(float(np.linalg.norm(p.a)) * float(np.linalg.norm(p.b)), 1e-300)
+    scale_ab = max(p.norms[0] * p.norms[1], 1e-300)
     for attempt in range(1, restarts + 1):
         coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         e = sum(c * m for c, m in zip(coeffs, basis))

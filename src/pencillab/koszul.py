@@ -7,6 +7,8 @@ vanishes automatically because the composite is zero.  The spectrum comes
 from invariant subspaces, as in the simultaneous triangularization of a
 commuting pair, checked by shifted-pencil singularity and a determinant
 identity, or by the deflating subspaces of A - rho B for invertible pairs.
+Each decision is one batched SVD: of both Koszul differentials at a point,
+or of the shifted pairs of every joint point for their witnesses.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import SingularityEvidence, is_singular
 from .linalg import (det_sample_nodes, invariant_subspaces, node_stack, numerical_rank,
-                     rank_decision, svd)
+                     rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -27,18 +29,21 @@ COMMUTE_REL_TOL = 1e-10
 
 def check_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether AB = BA up to 1e-10 relative to |A| |B|."""
+    try:
+        _require_commuting(a, b, tol)
+    except NotCommuting:
+        return False
+    return True
+
+
+def _require_commuting(a, b, tol: ToleranceConfig):
+    """A and B validated once as square matrices of one size, which must commute."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
     scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    return float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * scale
-
-
-def _require_commuting(a, b, tol: ToleranceConfig):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if not check_commuting(a, b, tol):
+    if not float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * scale:
         raise NotCommuting("matrices do not commute within tolerance")
     return a, b
 
@@ -59,13 +64,14 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
 
     The ranks are those of :func:`_shifted_blocks` with the cutoff anchored
     at 1, so a shift annihilating a coefficient entirely still reads as
-    deficient and neither coefficient's scale swamps the other's.
+    deficient and neither coefficient's scale swamps the other's.  d2 has
+    the singular values of d2* = [-S_B*; S_A*], 2n x n like d1 = [S_A; S_B].
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
     sa, sb = _shifted_blocks(a, b, z1, z2)
-    rank_d1 = numerical_rank(np.vstack([sa, sb]), tol, scale=1.0)
-    rank_d2 = numerical_rank(np.hstack([-sb, sa]), tol, scale=1.0)
+    sigma = singular_values([np.vstack([sa, sb]), np.vstack([-sb.conj().T, sa.conj().T])])
+    rank_d1, rank_d2 = (int(r) for r in rank_decision(sigma, (2 * n, n), 1.0, tol)[0])
     return KoszulAssessment(
         point=(complex(z1), complex(z2)),
         rank_d1=rank_d1,
@@ -96,21 +102,11 @@ def _close(p, q, tol: ToleranceConfig) -> bool:
 def _shifted_blocks(a, b, z1: complex, z2: complex) -> tuple[np.ndarray, np.ndarray]:
     """A - z1 I and B - z2 I, each divided by its own term size |M|_F + |z| sqrt(n)."""
     n = a.shape[0]
-    return tuple(
-        (m - complex(z) * np.eye(n))
-        / max(float(np.linalg.norm(m)) + abs(z) * np.sqrt(n), np.finfo(float).tiny)
-        for m, z in ((a, z1), (b, z2))
-    )
-
-
-def _common_eigenvector(a, b, z1, z2, tol: ToleranceConfig):
-    """Smallest singular direction of the stacked shifted pair, which must be deficient."""
-    n = a.shape[0]
-    stacked = np.vstack(_shifted_blocks(a, b, z1, z2))
-    u, s, v = svd(stacked)
-    if rank_decision(s, stacked.shape, 1.0, tol)[0] >= n:
-        raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
-    return np.ascontiguousarray(v[:, -1])
+    blocks = (np.array(a), np.array(b))
+    for shifted, m, z in zip(blocks, (a, b), (z1, z2)):
+        shifted.flat[:: n + 1] -= complex(z)
+        shifted /= max(float(np.linalg.norm(m)) + abs(z) * np.sqrt(n), np.finfo(float).tiny)
+    return blocks
 
 
 def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
@@ -119,21 +115,29 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
     Each cluster of U* B U (on B's own scale, as :func:`eigenvalues` takes
     it) has an invariant subspace span W, and on Q = U W both A and B have
     one eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
-    m = width of Q.  Its witness is a common eigenvector, whose rank test
-    is the Koszul non-exactness check; a point without one raises
-    :class:`OracleDisagreement`.
+    m = width of Q (W = I_1 for a one-column U).  Its witness is a common
+    eigenvector, whose rank test is the Koszul non-exactness check, from one
+    SVD of every point's stacked :func:`_shifted_blocks`; the first point
+    without one raises :class:`OracleDisagreement`.
     """
     n = a.shape[0]
     b_scale = max(1.0, float(np.linalg.norm(b)) / np.sqrt(n))
     found = []
     for u in bases:
-        for w in invariant_subspaces(u.conj().T @ (b / b_scale) @ u)[1]:
+        for w in ((np.eye(1),) if u.shape[1] == 1
+                  else invariant_subspaces(u.conj().T @ (b / b_scale) @ u)[1]):
             q = u @ w
             m = q.shape[1]
             found.append((complex(np.trace(q.conj().T @ a @ q)) / m,
                           complex(np.trace(q.conj().T @ b @ q)) / m, m))
     found.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-    witnesses = [_common_eigenvector(a, b, z1, z2, tol) for z1, z2, _ in found]
+    stacked = np.array([np.vstack(_shifted_blocks(a, b, z1, z2)) for z1, z2, _ in found],
+                       dtype=complex).reshape(len(found), 2 * n, n)
+    _, sigma, vh = np.linalg.svd(stacked)
+    for (z1, z2, _), rank in zip(found, rank_decision(sigma, (2 * n, n), 1.0, tol)[0]):
+        if rank >= n:
+            raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
+    witnesses = [np.ascontiguousarray(v[-1].conj()) for v in vh]
     return TaylorSpectrum(
         tuple((z1, z2) for z1, z2, _ in found),
         tuple(m for *_, m in found),
@@ -191,8 +195,9 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     for z1, z2 in direct.points:
         if not is_singular(Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
             raise OracleDisagreement(f"regular shifted pencil at ({z1}, {z2})", point=(z1, z2))
-    nodes = det_sample_nodes(Pencil(a, b), n + 1)
-    stack, anchors = node_stack(Pencil(a, b), nodes)
+    p = Pencil(a, b)
+    nodes = det_sample_nodes(p, n + 1)
+    stack, anchors = node_stack(p, nodes)
     shift = 2.0 * max(float(anchors[0]), np.finfo(float).tiny)  # every node has the same |lam|
     lhs = np.linalg.det(stack / shift - np.eye(n))
     z1, z2 = np.array(direct.points).T

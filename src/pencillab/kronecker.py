@@ -451,7 +451,8 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
 
     Column compressions of (B, A) split off the column minimal indices and
     the chains at infinity; the same compressions of the transposed
-    remainder split off the row minimal indices (:func:`_compressions`).
+    remainder split off the row minimal indices (:func:`_compressions`)
+    unless it is square, hence regular, as its E has full column rank.
     What remains must be a square regular block whose B is invertible: one
     QZ of it (:func:`~pencillab.linalg.eigenvalue_discs`, with discs
     widened to the compressions' backward error) gives the finite
@@ -470,7 +471,9 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     p, rho = p.balanced()
     scale = p.norm_scale()
     col_minimal, nilpotent, e, f, dropped = _compressions(p.b, p.a, tol, "columns", scale)
-    row_minimal, left_chains, e, f, dropped_left = _compressions(e.T, f.T, tol, "rows", scale)
+    row_minimal, left_chains, e, f, dropped_left = (), [], e.T, f.T, 0.0
+    if e.shape[0] != e.shape[1]:
+        row_minimal, left_chains, e, f, dropped_left = _compressions(e, f, tol, "rows", scale)
     g = len(e)
     if left_chains or e.shape != (g, g):
         raise RankDecisionUnstable(

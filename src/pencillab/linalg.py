@@ -87,9 +87,8 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(m) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a stack, in descending order."""
     m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return np.zeros(0)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -306,10 +305,7 @@ def _components(linked: np.ndarray) -> np.ndarray:
 
 def det_sample_nodes(p: Pencil, count: int) -> np.ndarray:
     """Equally spaced nodes on a circle whose radius balances |A| against |B|."""
-    na = float(np.linalg.norm(p.a))
-    nb = float(np.linalg.norm(p.b))
-    radius = max(na, 1e-12) / max(nb, 1e-12)
-    radius = float(np.clip(radius, 1e-3, 1e3))
+    radius = float(np.clip(max(p.norms[0], 1e-12) / max(p.norms[1], 1e-12), 1e-3, 1e3))
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
 
@@ -335,7 +331,7 @@ def node_stack(p: Pencil, nodes) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.asarray(nodes, dtype=complex)
     stack = nodes[:, None, None] * p.b
     stack += p.a
-    return stack, float(np.linalg.norm(p.a)) + np.abs(nodes) * float(np.linalg.norm(p.b))
+    return stack, p.norms[0] + np.abs(nodes) * p.norms[1]
 
 
 def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
@@ -343,10 +339,10 @@ def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
 
     |det| is the product of the QR diagonal's magnitudes |r_kk|, so the
     smallest |r_kk| against max(largest |r_kk|, node anchor) witnesses a
-    zero.  One batched QR serves every node.  Returns (every ratio below
-    ``det_zero_tol``, largest ratio).
+    zero.  One batched QR serves every node; the diagonal of its ``"raw"``
+    form is that of R.  Returns (every ratio below ``det_zero_tol``, largest ratio).
     """
-    diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="r"), axis1=-2, axis2=-1))
+    diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="raw")[0], axis1=-2, axis2=-1))
     top = np.maximum(diagonal.max(axis=-1), anchors)
     ratios = diagonal.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
     return bool(np.all(ratios < tol.det_zero_tol)), float(ratios.max())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,12 +66,17 @@ class Pencil:
     def transposed(self) -> "Pencil":
         return Pencil(self.a.T.copy(), self.b.T.copy())
 
+    @cached_property
+    def norms(self) -> tuple[float, float]:
+        """(|A|_F, |B|_F), computed on first use; the frozen pencil cannot reassign it."""
+        return float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
+
     def balanced(self) -> tuple["Pencil", float]:
         """(A, rho B) with rho = |A|_F / |B|_F (1 when either is zero), and rho."""
-        na, nb = float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
+        na, nb = self.norms
         rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
         return Pencil(self.a, rho * self.b), rho
 
     def norm_scale(self) -> float:
         """A common magnitude for both coefficients, used to relativize cutoffs."""
-        return max(float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b)))
+        return max(self.norms)

@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pencillab as pl
 from pencillab.generators import random_commuting_pair
 from pencillab.io import pencil_from_json
+from pencillab.koszul import _shifted_blocks
+from pencillab.linalg import numerical_rank, rank_decision, svd
 
 
 def by_coords(points):
@@ -247,6 +251,115 @@ class TestSpectrumOracles:
             z1 = complex(rng.standard_normal(), rng.standard_normal()) * 3.0
             z2 = complex(rng.standard_normal(), rng.standard_normal()) * 3.0
             assert pl.koszul_at(a, b, z1, z2, tol).exact
+
+
+def _witness_oracle(a, b, z1, z2, tol):
+    """The per-point witness computation: rank and smallest right singular vector of one stack."""
+    stacked = np.vstack(_shifted_blocks(a, b, z1, z2))
+    _, s, v = svd(stacked)
+    return int(rank_decision(s, stacked.shape, 1.0, tol)[0]), v[:, -1]
+
+
+def _koszul_rank_oracle(a, b, z1, z2, tol):
+    """Ranks of d1 = [S_A; S_B] and of d2 = [-S_B, S_A], each from its own SVD."""
+    sa, sb = _shifted_blocks(a, b, z1, z2)
+    return (numerical_rank(np.vstack([sa, sb]), tol, scale=1.0),
+            numerical_rank(np.hstack([-sb, sa]), tol, scale=1.0))
+
+
+class TestBatchedOracles:
+    def test_batched_paths_match_per_point_oracles(self, tol):
+        rng = np.random.default_rng(2202)
+        several = 0
+        for kind in ["poly", "poly-singular", "blockdiag", "zero-block"] * 12:
+            a, b = random_commuting_pair(rng, max_n=8, kind=kind)
+            n = a.shape[0]
+            scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
+            ts = pl.taylor_spectrum(a, b, tol)
+            several += len(ts.points) > 1
+            for (z1, z2), w, residual in zip(ts.points, ts.witnesses, ts.residuals):
+                rank, x = _witness_oracle(a, b, z1, z2, tol)
+                assert rank < n
+                assert abs(np.vdot(x, w)) >= 1.0 - 1e-12
+                np.testing.assert_allclose(
+                    residual, (np.linalg.norm(a @ x - z1 * x), np.linalg.norm(b @ x - z2 * x)),
+                    rtol=1e-9, atol=1e-14 * scale)
+            off = (complex(*rng.standard_normal(2)) * 3.0, complex(*rng.standard_normal(2)) * 3.0)
+            for z1, z2 in ts.points + (off,):
+                got = pl.koszul_at(a, b, z1, z2, tol)
+                assert (got.rank_d1, got.rank_d2) == _koszul_rank_oracle(a, b, z1, z2, tol)
+        assert several >= 12
+
+    def test_one_svd_per_decision(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        a, b = np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 3.0, 2.0, 1.0])
+        assert pl.taylor_spectrum(a, b).multiplicities == (1, 1, 1, 1)
+        assert not pl.koszul_at(a, b, 1.0, 4.0).exact
+        # the four witnesses from one stack, both Koszul ranks from another
+        assert calls == [(4, 8, 4), (2, 8, 4)]
+
+    def test_first_point_without_a_common_eigenvector_raises(self, monkeypatch):
+        from pencillab import koszul
+
+        # of the three bases only e1 spans a common eigenvector of diag(1, 2) and diag(3, 4);
+        # sorted, the first point without one is the halfway mean (1.5, 3.5)
+        e1 = np.array([[1.0], [0.0]])
+        halfway = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+        skewed = np.array([[1.0], [2.0]]) / np.sqrt(5.0)
+        monkeypatch.setattr(koszul, "invariant_subspaces", lambda a: (None, (skewed, halfway, e1)))
+        with pytest.raises(pl.OracleDisagreement) as info:
+            pl.taylor_spectrum(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        np.testing.assert_allclose(info.value.point, (1.5, 3.5), atol=1e-12)
+        assert str(info.value) == f"no common eigenvector at {info.value.point}"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["poly", "poly-singular", "blockdiag", "zero-block", "structured"]),
+       st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
+def test_taylor_path_verdicts_survive_scaling_and_unitary_coordinates(seed, kind, log_c, log_d):
+    # (A, B) -> (c Q A Q*, d Q B Q*) maps each joint point and each point of
+    # the joint range (z1, z2) to (c z1, d z2), so no verdict may change
+    rng = np.random.default_rng(seed)
+    a, b = random_commuting_pair(rng, max_n=8, kind=kind)
+    n = a.shape[0]
+    c, d = 10.0**log_c, 10.0**log_d
+    q = np.linalg.qr(complex_matrix(rng, n, n))[0]
+    pairs = ((a, b), (c * q @ a @ q.conj().T, d * q @ b @ q.conj().T))
+    off = (complex(*rng.standard_normal(2)) * 3.0, complex(*rng.standard_normal(2)) * 3.0)
+    try:
+        singular = [bool(pl.is_singular(pl.Pencil(x, y))) for x, y in pairs]
+        spectra = [pl.taylor_spectrum(x, y) for x, y in pairs]
+        at_points = [pl.koszul_at(*pairs[1], c * z1, d * z2).exact for z1, z2 in spectra[0].points]
+        at_off = [pl.koszul_at(*pairs[0], *off).exact,
+                  pl.koszul_at(*pairs[1], c * off[0], d * off[1]).exact]
+        hulls = [pl.conv_hull_membership(x, y) for x, y in pairs]
+    except pl.RankDecisionUnstable:
+        return
+    assert singular[0] == singular[1]
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    moved = list(zip(spectra[1].points, spectra[1].multiplicities))
+    for (z1, z2), m in zip(spectra[0].points, spectra[0].multiplicities):
+        hit = next((i for i, ((w1, w2), k) in enumerate(moved) if k == m
+                    and abs(w1 - c * z1) <= 1e-8 * c * na and abs(w2 - d * z2) <= 1e-8 * d * nb),
+                   None)
+        assert hit is not None, ((z1, z2), m, c, d, spectra[1])
+        moved.pop(hit)
+    assert not moved
+    assert not any(at_points)
+    assert at_off[0] == at_off[1]
+    assert hulls[0].verdict == hulls[1].verdict
+    for (x, y), hull in zip(pairs, hulls):
+        certificate = {"outside": hull.certificate, "inside": hull.inside_certificate}
+        if hull.verdict in certificate:
+            assert certificate[hull.verdict].is_valid(x, y)
 
 
 class TestInvertibleCharacterization:

@@ -181,6 +181,27 @@ class TestSingularity:
         verdict = pl.is_singular(pl.Pencil(a, b), tol)
         assert not verdict and verdict.normal_rank == 2 and verdict.rank_margin > 10
 
+    def test_norms_taken_once_per_pencil(self, monkeypatch):
+        import dataclasses
+
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return norm(x, *args, **kwargs)
+
+        p = pl.Pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert not pl.is_singular(p)
+        assert not pl.is_singular(p)
+        monkeypatch.undo()
+        # the node radius and the node anchors both read |A|_F and |B|_F
+        assert calls == [(3, 3), (3, 3)]
+        assert p.norms == (norm(p.a), norm(p.b)) and p.norm_scale() == norm(p.a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.norms = (1.0, 1.0)
+
     def test_every_node_in_guard_band(self, tol):
         # sigma_2 = 1e-9 sits a factor 5 above the cutoff 2e-10 at every node
         with pytest.raises(pl.RankDecisionUnstable):
@@ -558,6 +579,6 @@ class TestChainStaircase:
         monkeypatch.undo()
         assert pl.structures_match(got, s, tol), got
         assert max(max(shape[-2:]) for shape in shapes) <= n
-        # one factorization at each simple eigenvalue, and one of B on each
-        # side, whose full rank ends both runs of compressions
-        assert shapes.count((n, n)) == n + 2
+        # one factorization at each simple eigenvalue, and one of B, whose
+        # full rank ends the column run and leaves no row run to make
+        assert shapes.count((n, n)) == n + 1
