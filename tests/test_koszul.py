@@ -292,11 +292,11 @@ class TestBatchedOracles:
 
     def test_one_svd_per_decision(self, monkeypatch):
         calls = []
-        svd = np.linalg.svd
+        factor = np.linalg.svd
 
         def spy(m, *args, **kwargs):
             calls.append(np.shape(m))
-            return svd(m, *args, **kwargs)
+            return factor(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         a, b = np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 3.0, 2.0, 1.0])
