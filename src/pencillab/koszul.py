@@ -137,7 +137,7 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
     for (z1, z2, _), rank in zip(found, rank_decision(sigma, (2 * n, n), 1.0, tol)[0]):
         if rank >= n:
             raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
-    witnesses = [np.ascontiguousarray(v[-1].conj()) for v in vh]
+    witnesses = [v[-1].conj() for v in vh]
     return TaylorSpectrum(
         tuple((z1, z2) for z1, z2, _ in found),
         tuple(m for *_, m in found),
