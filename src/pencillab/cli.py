@@ -24,6 +24,7 @@ from .config import ToleranceConfig
 from .errors import (
     ImplicationViolated,
     InconsistentSingularityEvidence,
+    NotCommuting,
     OracleDisagreement,
     PencilLabError,
     RankDecisionUnstable,
@@ -31,8 +32,9 @@ from .errors import (
 from .generators import (STAIRCASE_SAFE_KINDS, random_commuting_pair,
                          random_singular_pencil, random_structure)
 from .koszul import (
-    check_commuting,
-    condition_matrix,
+    _commuting_structure,
+    _condition_matrix,
+    _require_commuting,
     invertible_shift_pair,
     koszul_at,
     shift_truncation_pair,
@@ -73,7 +75,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
-    """Full machine-readable analysis of one pencil."""
+    """Full machine-readable analysis of one pencil.
+
+    A square pencil with commuting coefficients takes its Kronecker
+    structure and Taylor spectrum from one pass over the joint spectrum
+    (:func:`~pencillab.koszul.commuting_structure`); any other pencil
+    takes its structure from :func:`staircase_structure`.  On the first
+    the paper's theorem is the cross-check: the structure has minimal
+    indices exactly when condition (i), the singularity sweep, holds, or
+    :class:`ImplicationViolated` is raised.  The pair is validated once.
+    """
     report: dict = {
         "input": {
             "rows": p.rows,
@@ -88,13 +99,28 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
         },
         "seed": tol.rng_seed,
     }
-    structure = staircase_structure(p, tol)
+    pair = None
+    if p.is_square:
+        try:
+            pair = _require_commuting(p.a, p.b, tol)
+        except NotCommuting:
+            pass
+    if pair is None:
+        structure = staircase_structure(p, tol)
+    else:
+        structure, spectrum = _commuting_structure(*pair, tol)
     report["kronecker"] = plio.structure_to_json(structure)
     feasible, violations = commuting_feasible(structure)
     report["commuting_feasible"] = {"feasible": feasible, "violations": violations}
     if p.is_square:
-        commuting = check_commuting(p.a, p.b, tol)
-        conditions = condition_matrix(p.a, p.b, tol) if commuting else None
+        commuting = pair is not None
+        conditions = _condition_matrix(*pair, tol) if commuting else None
+        if commuting and bool(structure.col_minimal or structure.row_minimal) != (
+                conditions.pencil_singular):
+            raise ImplicationViolated(
+                f"the structure read off the joint spectrum has minimal indices "
+                f"{structure.col_minimal} and {structure.row_minimal}, but the singularity "
+                f"sweep says singular={conditions.pencil_singular}")
         verdict = is_singular(p, tol) if conditions is None else conditions.singularity
         report["singular"] = {
             "verdict": bool(verdict),
@@ -124,7 +150,6 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
                 report["certificate"] = plio.certificate_to_json(conditions.certificate)
             else:
                 report["certificate"] = None
-            spectrum = taylor_spectrum(p.a, p.b, tol)
             report["taylor_spectrum"] = plio.spectrum_report(spectrum)
     return report
 

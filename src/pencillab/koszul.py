@@ -9,6 +9,15 @@ commuting pair, checked by shifted-pencil singularity and a determinant
 identity, or by the deflating subspaces of A - rho B for invertible pairs.
 Each decision is one batched SVD: of both Koszul differentials at a point,
 or of the shifted pairs of every joint point for their witnesses.
+
+The Kronecker structure of a commuting pencil is read off the same joint
+eigenspaces (:func:`commuting_structure`): they block-diagonalize the
+pencil, each block has one known point, and only the (0, 0) block, which
+holds every singular block, takes the staircase; this is the path
+``analyze`` takes for square commuting pencils, while every other pencil
+takes :func:`~pencillab.kronecker.staircase_structure`.  Each public
+function validates its pair once and runs a private core on the
+validated arrays, which the others call in turn.
 """
 
 from __future__ import annotations
@@ -18,10 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
-from .kronecker import SingularityEvidence, is_singular
-from .linalg import (det_sample_nodes, invariant_subspaces, node_stack, numerical_rank,
-                     rank_decision, singular_values)
+from .errors import (ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement,
+                     RankDecisionUnstable)
+from .kronecker import (KroneckerStructure, SingularityEvidence, _chain_sizes, _staircase,
+                        is_singular)
+from .linalg import (RANK_GUARD, det_sample_nodes, invariant_subspaces, node_stack,
+                     numerical_rank, rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -67,7 +78,11 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
     deficient and neither coefficient's scale swamps the other's.  d2 has
     the singular values of d2* = [-S_B*; S_A*], 2n x n like d1 = [S_A; S_B].
     """
-    a, b = _require_commuting(a, b, tol)
+    return _koszul_at(*_require_commuting(a, b, tol), z1, z2, tol)
+
+
+def _koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig) -> KoszulAssessment:
+    """The body of :func:`koszul_at` on a validated commuting pair."""
     n = a.shape[0]
     sa, sb = _shifted_blocks(a, b, z1, z2)
     sigma = singular_values([np.vstack([sa, sb]), np.vstack([-sb.conj().T, sa.conj().T])])
@@ -109,8 +124,8 @@ def _shifted_blocks(a, b, z1: complex, z2: complex) -> tuple[np.ndarray, np.ndar
     return blocks
 
 
-def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
-    """Joint points from subspaces span U, each invariant under A and B.
+def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
+    """Joint points from subspaces span U, each invariant under A and B, and their bases.
 
     Each cluster of U* B U (on B's own scale, as :func:`eigenvalues` takes
     it) has an invariant subspace span W, and on Q = U W both A and B have
@@ -118,9 +133,12 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
     m = width of Q (W = I_1 for a one-column U).  Its witness is a common
     eigenvector, whose rank test is the Koszul non-exactness check, from one
     SVD of every point's stacked :func:`_shifted_blocks`; the first point
-    without one raises :class:`OracleDisagreement`.
+    without one raises :class:`OracleDisagreement`.  Returns the spectrum
+    and each point's Q, the basis of its joint generalized eigenspace.
     """
     n = a.shape[0]
+    if not n:
+        return TaylorSpectrum((), (), (), ()), []
     b_scale = max(1.0, float(np.linalg.norm(b)) / np.sqrt(n))
     found = []
     for u in bases:
@@ -129,7 +147,7 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
             q = u @ w
             m = q.shape[1]
             found.append((complex(np.trace(q.conj().T @ a @ q)) / m,
-                          complex(np.trace(q.conj().T @ b @ q)) / m, m))
+                          complex(np.trace(q.conj().T @ b @ q)) / m, q))
     found.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
     stacked = np.array([np.vstack(_shifted_blocks(a, b, z1, z2)) for z1, z2, _ in found],
                        dtype=complex).reshape(len(found), 2 * n, n)
@@ -138,13 +156,14 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> TaylorSpectrum:
         if rank >= n:
             raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
     witnesses = [v[-1].conj() for v in vh]
-    return TaylorSpectrum(
+    spectrum = TaylorSpectrum(
         tuple((z1, z2) for z1, z2, _ in found),
-        tuple(m for *_, m in found),
+        tuple(q.shape[1] for *_, q in found),
         tuple(witnesses),
         tuple((float(np.linalg.norm(a @ x - z1 * x)), float(np.linalg.norm(b @ x - z2 * x)))
               for (z1, z2, _), x in zip(found, witnesses)),
     )
+    return spectrum, [q for *_, q in found]
 
 
 def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
@@ -154,8 +173,12 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     each eigenvalue cluster of A is invariant under B too, and splits
     along the clusters of B restricted to it into the joint points.
     """
-    a, b = _require_commuting(a, b, tol)
-    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    return _taylor_spectrum(*_require_commuting(a, b, tol), tol)
+
+
+def _taylor_spectrum(a, b, tol: ToleranceConfig) -> TaylorSpectrum:
+    """The body of :func:`taylor_spectrum` on a validated commuting pair."""
+    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)[0]
 
 
 def spectra_match(
@@ -191,7 +214,9 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     """
     a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
-    direct = taylor_spectrum(a, b, tol)
+    direct = _taylor_spectrum(a, b, tol)
+    if not n:
+        return direct
     for z1, z2 in direct.points:
         if not is_singular(Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
             raise OracleDisagreement(f"regular shifted pencil at ({z1}, {z2})", point=(z1, z2))
@@ -224,7 +249,92 @@ def spectrum_invertible_characterization(
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
-    return _joint_spectrum(a, b, invariant_subspaces(a, -b)[1], tol)
+    return _joint_spectrum(a, b, invariant_subspaces(a, -b)[1], tol)[0]
+
+
+def commuting_structure(
+    a, b, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[KroneckerStructure, TaylorSpectrum]:
+    """Kronecker structure of A + lam B for commuting A, B, read off the joint spectrum.
+
+    The joint generalized eigenspaces span Q_k of :func:`taylor_spectrum`
+    are invariant under A and B and sum to C^n, so with T = [Q_1 ... Q_K]
+    the balanced pencil (A, rho B), rho = |A|_F / |B|_F, splits as
+    T^-1 (A, rho B) T = (+)_k (A_k, rho B_k) (Bavely & Stewart 1979;
+    Demmel 1983), where A_k and B_k have the single eigenvalues alpha_k
+    and beta_k of the joint point.  The off-block part of that one solve
+    is the split's backward error; unless it lies a factor ``RANK_GUARD``
+    below the rank cutoff ``rank_rel_tol * scale * n`` of the whole
+    balanced pencil, the split raises :class:`RankDecisionUnstable`.
+
+    One stacked rank decision of every (|alpha_k|, |rho beta_k|) at that
+    anchor reads each block: beta_k nonzero is a regular block whose only
+    eigenvalue is alpha_k / beta_k, beta_k zero with alpha_k nonzero a
+    block at infinity, and both zero the block holding every singular
+    block, nonempty exactly when the pencil is singular (the paper's
+    theorem).  A 1 x 1 block is J_1(alpha_k / beta_k), N_1 or
+    L_0 (+) L_0^T; a larger regular block takes its Jordan sizes from
+    :func:`~pencillab.kronecker._chain_sizes` at its one point (with A and
+    B swapped at infinity), and the (0, 0) block from the staircase body
+    anchored at the whole pencil's scale.  Returns the structure and the
+    Taylor spectrum of the same pass.
+    """
+    return _commuting_structure(*_require_commuting(a, b, tol), tol)
+
+
+def _commuting_structure(a, b, tol: ToleranceConfig) -> tuple[KroneckerStructure, TaylorSpectrum]:
+    """The body of :func:`commuting_structure` on a validated commuting pair."""
+    spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    n = a.shape[0]
+    if not n:
+        return KroneckerStructure(), spectrum
+    p, rho = Pencil(a, b).balanced()
+    scale = p.norm_scale()
+    t = np.hstack(bases)
+    try:
+        split = np.linalg.solve(t, np.hstack([p.a @ t, p.b @ t]))
+    except np.linalg.LinAlgError as exc:
+        raise RankDecisionUnstable(f"the joint eigenspaces do not span C^{n}: {exc}") from exc
+    ends = np.cumsum((0,) + spectrum.multiplicities)
+    owner = np.repeat(np.arange(len(bases)), spectrum.multiplicities)
+    error = float(np.linalg.norm(split[np.tile(owner[:, None] != owner, 2)]))
+    coords = np.abs(np.array(spectrum.points)) * (1.0, rho)
+    nonzero, cutoff, margin = rank_decision(coords[..., None], (n, n), scale, tol)
+    if not error * RANK_GUARD <= cutoff.min():
+        raise RankDecisionUnstable(
+            f"the joint eigenspaces split the pencil with backward error {error:.3e}, "
+            f"not a factor {RANK_GUARD:g} below the cutoff {cutoff.min():.3e}",
+            sigma=error, threshold=float(cutoff.min()))
+    if margin.min() <= RANK_GUARD:
+        k, j = np.unravel_index(margin.argmin(), margin.shape)
+        raise RankDecisionUnstable(
+            f"joint point {spectrum.points[k]}: |coordinate| {coords[k, j]:.3e} within a "
+            f"factor {RANK_GUARD:g} of cutoff {cutoff[k, j]:.3e}",
+            sigma=float(coords[k, j]), threshold=float(cutoff[k, j]))
+    col, row, jordan, nilpotent = [], [], [], []
+    for (z1, z2), m, (nonzero_a, nonzero_b), lo, hi in zip(
+            spectrum.points, spectrum.multiplicities, nonzero, ends, ends[1:]):
+        ak, bk = split[lo:hi, lo:hi], split[lo:hi, n + lo : n + hi]
+        context = f"block of ({z1:.6g}, {z2:.6g})"
+        if not nonzero_a and not nonzero_b:
+            block = (KroneckerStructure([(0, 1)], [(0, 1)]) if m == 1
+                     else _staircase(Pencil(ak, bk), rho, scale, tol))
+            col += block.col_minimal
+            row += block.row_minimal
+            jordan += block.jordan
+            nilpotent += block.nilpotent
+            continue
+        if not nonzero_b:
+            sizes = [1] if m == 1 else _chain_sizes(bk, ak, m, tol, context, scale)
+            nilpotent += sizes
+        else:
+            w = -z1 / (rho * z2)
+            sizes = [1] if m == 1 else _chain_sizes(ak + w * bk, bk, m, tol, context,
+                                                    scale * max(1.0, abs(w)))
+            jordan += [(size, z1 / z2) for size in sizes]
+        if sum(sizes) != m:
+            raise RankDecisionUnstable(f"{context}: block sizes {sizes} do not total {m}")
+    return KroneckerStructure(col, row, jordan, nilpotent), spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +380,15 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     when an isotropic certificate was actually found.  A valid separation
     certificate of the hull proves (ii) false, so no search runs then.
     """
+    return _condition_matrix(*_require_commuting(a, b, tol), tol)
+
+
+def _condition_matrix(a, b, tol: ToleranceConfig) -> ConditionMatrix:
+    """The body of :func:`condition_matrix` on a validated commuting pair."""
     from . import numrange
 
-    a, b = _require_commuting(a, b, tol)
     p = Pencil(a, b)
-    koszul = koszul_at(a, b, 0.0, 0.0, tol)
+    koszul = _koszul_at(a, b, 0.0, 0.0, tol)
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
     cond_i = bool(singularity)

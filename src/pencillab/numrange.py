@@ -223,7 +223,7 @@ class SeparationCertificate:
     def is_valid(self, a, b, slack: float = 1e-8) -> bool:
         mats = _real_range_matrices(a, b)
         combined = np.tensordot(self.direction, mats, axes=1)
-        lam_min = float(np.linalg.eigvalsh(combined)[0])
+        lam_min = float(np.linalg.eigvalsh(combined).min(initial=np.inf))  # inf: empty range
         return lam_min >= self.margin - slack * max(1.0, abs(self.margin))
 
 
@@ -315,12 +315,16 @@ def conv_hull_membership(
     the verdict is unchanged under (A, B) -> (cA, dB), and a direction u
     found there maps back as u_i / s_i for the norm s_i of coordinate i's
     coefficient, with the same margin.  ``scale`` is that of the balanced
-    pair.
+    pair.  The empty pair's range is empty, so the origin is "outside" it,
+    by a separation certificate of margin 0 that holds vacuously.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
     n = a.shape[0]
+    if not n:
+        cert = SeparationCertificate(direction=np.eye(4)[0], margin=0.0)
+        return ConvHullMembership("outside", 0.0, cert.direction, 0.0, cert)
     norms = _coefficient_norms(a, b)
     mats = _real_range_matrices(a, b) / norms[:, None, None]
     scale = float(max(np.linalg.norm(mats, axis=(1, 2))))

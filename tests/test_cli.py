@@ -135,6 +135,47 @@ class TestAnalyze:
         json.loads(target.read_text(encoding="utf-8"))
 
 
+    def test_commuting_pencil_reads_its_structure_off_the_joint_spectrum(
+            self, fixtures_dir, monkeypatch, capsys):
+        from pencillab import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the staircase ran on a commuting pencil")
+
+        monkeypatch.setattr(cli, "staircase_structure", refuse)
+        code, out, _ = run_cli(["analyze", str(fixtures_dir / "signed_diag_pair.json")], capsys)
+        assert code == 0
+        kronecker = json.loads(out)["kronecker"]
+        assert [size for size, _ in kronecker["jordan"]] == [1, 1]
+        assert all(lam == pytest.approx([0.5, 0.0]) for _, lam in kronecker["jordan"])
+        assert kronecker["col_minimal"] == kronecker["row_minimal"] == []
+
+    def test_structure_contradicting_singularity_exit_two(
+            self, fixtures_dir, monkeypatch, capsys):
+        # a singular pencil has minimal indices: a structure without them is a bug
+        from pencillab import cli
+        from pencillab.kronecker import KroneckerStructure
+
+        read = cli._commuting_structure
+        monkeypatch.setattr(cli, "_commuting_structure", lambda a, b, tol: (
+            KroneckerStructure(jordan=[(1, 0.0), (1, 0.0)]), read(a, b, tol)[1]))
+        code, out, err = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "minimal indices" in err
+
+    def test_empty_pencil(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        matrix = {"rows": 0, "cols": 0, "entries": []}
+        empty.write_text(json.dumps({"a": matrix, "b": matrix}), encoding="utf-8")
+        code, out, _ = run_cli(["analyze", str(empty)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["taylor_spectrum"] == [] and report["certificate"] is None
+        assert report["membership"]["verdict"] == "outside"
+        assert not any(v for k, v in report["condition_matrix"].items() if k != "implications")
+
+
 class TestCampaign:
     def test_small_all_clean(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencillab as pl
+from pencillab import cli
 from pencillab.generators import random_commuting_pair
 from pencillab.io import pencil_from_json
 from pencillab.koszul import _shifted_blocks
+from pencillab.kronecker import KroneckerStructure
 from pencillab.linalg import numerical_rank, rank_decision, svd
 
 
@@ -77,6 +79,59 @@ class TestKoszulAt:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(pl.NotCommuting):
             pl.koszul_at(a, b, 0.0, 0.0)
+
+
+EMPTY = np.zeros((0, 0))
+NO_POINTS = pl.TaylorSpectrum((), (), (), ())
+
+
+class TestEmptyPair:
+    def test_taylor_spectrum(self):
+        assert pl.taylor_spectrum(EMPTY, EMPTY) == NO_POINTS
+
+    def test_spectrum_via_singularity(self):
+        assert pl.spectrum_via_singularity(EMPTY, EMPTY) == NO_POINTS
+
+    def test_commuting_structure(self):
+        assert pl.commuting_structure(EMPTY, EMPTY) == (KroneckerStructure(), NO_POINTS)
+
+    def test_condition_matrix(self):
+        # the empty range misses the origin, and the 0 x 0 pencil is regular
+        report = pl.condition_matrix(EMPTY, EMPTY)
+        assert report.koszul.exact and not report.zero_in_taylor
+        assert not report.pencil_singular and not report.origin_in_joint_range
+        assert not report.range_is_plane and report.certificate is None
+        assert report.membership.verdict == "outside"
+        assert report.membership.certificate.is_valid(EMPTY, EMPTY)
+        assert all(ok for _, ok in report.implications)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: pl.check_commuting(a, b),
+    lambda a, b: pl.koszul_at(a, b, 1.0, 3.0),
+    lambda a, b: pl.taylor_spectrum(a, b),
+    lambda a, b: pl.spectrum_via_singularity(a, b),
+    lambda a, b: pl.spectrum_invertible_characterization(a, b),
+    lambda a, b: pl.commuting_structure(a, b),
+    lambda a, b: pl.condition_matrix(a, b),
+    lambda a, b: cli.analyze_pencil(pl.Pencil(a, b), pl.DEFAULT_TOL),
+], ids=["check_commuting", "koszul_at", "taylor_spectrum", "spectrum_via_singularity",
+        "spectrum_invertible_characterization", "commuting_structure", "condition_matrix",
+        "analyze_pencil"])
+def test_each_public_call_validates_the_pair_once(monkeypatch, call):
+    from pencillab import koszul
+
+    calls = []
+    require = koszul._require_commuting
+
+    def counted(a, b, tol):
+        calls.append((a, b))
+        return require(a, b, tol)
+
+    monkeypatch.setattr(koszul, "_require_commuting", counted)
+    monkeypatch.setattr(cli, "_require_commuting", counted)
+    call(np.diag([1.0, 2.0, 4.0]), np.diag([3.0, 1.0, 2.0]))
+    assert len(calls) == 1
 
 
 class TestTaylorSpectrum:
@@ -216,7 +271,7 @@ class TestSpectrumOracles:
         true = koszul.taylor_spectrum(a, b)
         assert true.multiplicities == (1, 2)
         moved = dataclasses.replace(true, multiplicities=(2, 1))
-        monkeypatch.setattr(koszul, "taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
+        monkeypatch.setattr(koszul, "_taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
         with pytest.raises(pl.OracleDisagreement):
             pl.spectrum_via_singularity(a, b)
 
@@ -362,6 +417,124 @@ def test_taylor_path_verdicts_survive_scaling_and_unitary_coordinates(seed, kind
             assert certificate[hull.verdict].is_valid(x, y)
 
 
+KINDS = ["poly", "poly-singular", "blockdiag", "zero-block", "structured"]
+
+
+def _scaled(structure, factor):
+    """The structure of (cA, dB) from that of (A, B): each eigenvalue times factor = c / d."""
+    return KroneckerStructure(structure.col_minimal, structure.row_minimal,
+                              [(size, factor * lam) for size, lam in structure.jordan],
+                              structure.nilpotent)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(KINDS),
+       st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
+def test_structure_and_conditions_survive_scaling_and_unitary_coordinates(seed, kind, log_c,
+                                                                          log_d):
+    # (A, B) -> (c Q A Q*, d Q B Q*) is a strict equivalence of (A, (d / c) B) up to the
+    # factor c, so minimal indices and sizes stay and each eigenvalue scales by c / d
+    rng = np.random.default_rng(seed)
+    a, b = random_commuting_pair(rng, max_n=8, kind=kind)
+    n = a.shape[0]
+    c, d = 10.0**log_c, 10.0**log_d
+    q = np.linalg.qr(complex_matrix(rng, n, n))[0]
+    pairs = ((a, b), (c * q @ a @ q.conj().T, d * q @ b @ q.conj().T))
+    try:
+        stairs = [pl.staircase_structure(pl.Pencil(x, y)) for x, y in pairs]
+        read = [pl.commuting_structure(x, y)[0] for x, y in pairs]
+        conditions = [pl.condition_matrix(x, y) for x, y in pairs]
+    except pl.RankDecisionUnstable:
+        return
+    expected = _scaled(stairs[0], c / d)
+    assert pl.structures_match(expected, stairs[1]), (stairs, c, d)
+    assert pl.structures_match(_scaled(read[0], c / d), read[1]), (read, c, d)
+    assert pl.structures_match(stairs[0], read[0]), (stairs, read)
+    assert len({(m.zero_in_taylor, m.pencil_singular, m.origin_in_joint_range,
+                 m.range_is_plane) for m in conditions}) == 1
+
+
+class TestCommutingStructure:
+    def test_matches_the_staircase_on_every_kind(self, tol):
+        # the draws are unscaled and at (cA, dB); the staircase and the Taylor
+        # spectrum are the references, and neither may succeed where this raises
+        outcomes = {"agree": 0, "both raise": 0}
+        for k, kind in enumerate(KINDS):
+            for s in range(60):
+                rng = np.random.default_rng([23, k, s])
+                a, b = random_commuting_pair(rng, max_n=10, kind=kind)
+                c, d = 10 ** rng.uniform(-3, 3, 2)
+                for x, y in ((a, b), (c * a, d * b)):
+                    try:
+                        got = pl.commuting_structure(x, y, tol)[0]
+                    except pl.RankDecisionUnstable:
+                        with pytest.raises((pl.RankDecisionUnstable, pl.OracleDisagreement)):
+                            pl.staircase_structure(pl.Pencil(x, y), tol)
+                            pl.taylor_spectrum(x, y, tol)
+                        outcomes["both raise"] += 1
+                        continue
+                    assert pl.structures_match(pl.staircase_structure(pl.Pencil(x, y), tol),
+                                               got, tol), (kind, s, got)
+                    outcomes["agree"] += 1
+        assert outcomes["agree"] >= 590, outcomes
+
+    def test_pinned_split_nilpotent_pairs_agree_or_raise(self):
+        for entry in SPLIT_NILPOTENT_PAIRS:
+            p = pencil_from_json(entry)
+            try:
+                got = pl.commuting_structure(p.a, p.b)[0]
+            except (pl.OracleDisagreement, pl.RankDecisionUnstable):
+                continue
+            assert pl.structures_match(pl.staircase_structure(p), got), entry["seed"]
+
+    def test_fixtures(self, fixtures_dir):
+        from pencillab.io import load_pencil
+
+        zero = load_pencil(fixtures_dir / "zero_pencil_2x2.json")
+        assert pl.commuting_structure(zero.a, zero.b)[0] == KroneckerStructure(
+            col_minimal=[(0, 2)], row_minimal=[(0, 2)])
+        signed = load_pencil(fixtures_dir / "signed_diag_pair.json")
+        got = pl.commuting_structure(signed.a, signed.b)[0]
+        assert pl.structures_match(got, KroneckerStructure(jordan=[(1, 0.5), (1, 0.5)]))
+        assert not got.col_minimal and not got.row_minimal and not got.nilpotent
+
+    def test_spectrum_is_that_of_taylor_spectrum(self, rng):
+        for _ in range(6):
+            a, b = random_commuting_pair(rng, max_n=7)
+            got, want = pl.commuting_structure(a, b)[1], pl.taylor_spectrum(a, b)
+            assert (got.points, got.multiplicities, got.residuals) == (
+                want.points, want.multiplicities, want.residuals)
+            assert all(np.array_equal(x, y) for x, y in zip(got.witnesses, want.witnesses))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_chains_at_a_finite_point_and_at_infinity(self, n):
+        # (I (+) M_n) + lam (M_n (+) I): J_n(0) from the point (0, 1), N_n from (1, 0)
+        a, b = pl.shift_truncation_pair(n)
+        got = pl.commuting_structure(a, b)[0]
+        assert got == KroneckerStructure(jordan=[(n, 0.0)], nilpotent=[n])
+        assert pl.structures_match(got, pl.staircase_structure(pl.Pencil(a, b)))
+
+    def test_guard_band_point_raises(self):
+        with pytest.raises(pl.RankDecisionUnstable, match="within a factor 10"):
+            pl.commuting_structure(np.diag([1.0, 1e-9]), np.zeros((2, 2)))
+
+    def test_ill_conditioned_split_raises(self, monkeypatch):
+        from pencillab import koszul
+
+        # e1 and a basis 1e-6 off it are each nearly invariant, with nearly a common
+        # eigenvector, but T = [e1, skewed] puts a backward error of about 1 off its blocks
+        e1 = np.array([[1.0], [0.0]])
+        skewed = np.array([[1.0], [1e-6]]) / np.hypot(1.0, 1e-6)
+        monkeypatch.setattr(koszul, "invariant_subspaces", lambda a: (None, (e1, skewed)))
+        with pytest.raises(pl.RankDecisionUnstable, match="backward error"):
+            pl.commuting_structure(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+
+    def test_noncommuting_rejected(self):
+        with pytest.raises(pl.NotCommuting):
+            pl.commuting_structure(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                   np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
 class TestInvertibleCharacterization:
     def test_swapped_diagonals(self):
         ts = pl.spectrum_invertible_characterization(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))
@@ -465,7 +638,7 @@ class TestConditionMatrix:
         def exact(a, b, z1, z2, tol=pl.DEFAULT_TOL):
             return koszul.KoszulAssessment((z1, z2), rank_d1=2, rank_d2=2, dim=2, exact=True)
 
-        monkeypatch.setattr(koszul, "koszul_at", exact)
+        monkeypatch.setattr(koszul, "_koszul_at", exact)
         with pytest.raises(pl.ImplicationViolated, match=r"\(i\) implies \(0\)"):
             pl.condition_matrix(p.a, p.b)
 

@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 import pencillab as pl
 from pencillab.generators import (random_commuting_pair, random_doubly_commuting_pair,
                                   random_singular_pencil)
+from pencillab.numrange import BOUNDARY_TOL
 
 from conftest import complex_matrix
 
@@ -215,13 +216,23 @@ class TestConvHull:
             assert res.inside_certificate.is_valid(a, b)
             assert len(res.inside_certificate.weights) <= 5
 
+    def test_empty_pair_reads_outside_with_a_valid_certificate(self):
+        # the 0 x 0 pair has an empty range, whose hull misses the origin
+        empty = np.zeros((0, 0))
+        res = pl.conv_hull_membership(empty, empty)
+        assert res.verdict == "outside" and res.inside_certificate is None
+        assert res.certificate.is_valid(empty, empty)
+
     def test_near_miss_reads_boundary(self):
-        # the range clears the origin by 1e-7, inside the boundary band
-        a, b = np.diag([1e-7, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        # the range clears the origin by 4e-8, a factor 2.5 inside the
+        # boundary band of BOUNDARY_TOL times the balanced scale 1
+        a, b = np.diag([4e-8, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         res = pl.conv_hull_membership(a, b)
         assert res.verdict == "boundary"
         assert res.certificate is None and res.inside_certificate is None
-        assert res.strongest_min == pytest.approx(1e-7, rel=1e-6)
+        assert res.scale == pytest.approx(1.0)
+        assert res.strongest_min == pytest.approx(4e-8, rel=1e-6)
+        assert res.strongest_min <= BOUNDARY_TOL * res.scale / 2
 
     @pytest.mark.parametrize(
         "a, b",
