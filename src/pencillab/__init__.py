@@ -48,6 +48,7 @@ from .koszul import (
     KoszulAssessment,
     TaylorSpectrum,
     check_commuting,
+    commuting_analysis,
     commuting_structure,
     condition_matrix,
     invertible_shift_pair,

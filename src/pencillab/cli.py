@@ -24,7 +24,6 @@ from .config import ToleranceConfig
 from .errors import (
     ImplicationViolated,
     InconsistentSingularityEvidence,
-    NotCommuting,
     OracleDisagreement,
     PencilLabError,
     RankDecisionUnstable,
@@ -32,9 +31,7 @@ from .errors import (
 from .generators import (STAIRCASE_SAFE_KINDS, random_commuting_pair,
                          random_singular_pencil, random_structure)
 from .koszul import (
-    _commuting_structure,
-    _condition_matrix,
-    _require_commuting,
+    commuting_analysis,
     invertible_shift_pair,
     koszul_at,
     shift_truncation_pair,
@@ -78,12 +75,11 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
     """Full machine-readable analysis of one pencil.
 
     A square pencil with commuting coefficients takes its Kronecker
-    structure and Taylor spectrum from one pass over the joint spectrum
-    (:func:`~pencillab.koszul.commuting_structure`); any other pencil
-    takes its structure from :func:`staircase_structure`.  On the first
-    the paper's theorem is the cross-check: the structure has minimal
-    indices exactly when condition (i), the singularity sweep, holds, or
-    :class:`ImplicationViolated` is raised.  The pair is validated once.
+    structure, Taylor spectrum and conditions from
+    :func:`~pencillab.koszul.commuting_analysis`, which reads the
+    structure off the joint spectrum where that is clear and cross-checks
+    it against condition (i); any other pencil takes its structure from
+    :func:`staircase_structure`.  The pair is validated once.
     """
     report: dict = {
         "input": {
@@ -99,28 +95,12 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
         },
         "seed": tol.rng_seed,
     }
-    pair = None
-    if p.is_square:
-        try:
-            pair = _require_commuting(p.a, p.b, tol)
-        except NotCommuting:
-            pass
-    if pair is None:
-        structure = staircase_structure(p, tol)
-    else:
-        structure, spectrum = _commuting_structure(*pair, tol)
+    commuting = commuting_analysis(p.a, p.b, tol) if p.is_square else None
+    structure, spectrum, conditions = commuting or (staircase_structure(p, tol), None, None)
     report["kronecker"] = plio.structure_to_json(structure)
     feasible, violations = commuting_feasible(structure)
     report["commuting_feasible"] = {"feasible": feasible, "violations": violations}
     if p.is_square:
-        commuting = pair is not None
-        conditions = _condition_matrix(*pair, tol) if commuting else None
-        if commuting and bool(structure.col_minimal or structure.row_minimal) != (
-                conditions.pencil_singular):
-            raise ImplicationViolated(
-                f"the structure read off the joint spectrum has minimal indices "
-                f"{structure.col_minimal} and {structure.row_minimal}, but the singularity "
-                f"sweep says singular={conditions.pencil_singular}")
         verdict = is_singular(p, tol) if conditions is None else conditions.singularity
         report["singular"] = {
             "verdict": bool(verdict),
@@ -134,7 +114,7 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
             # null for the empty pencil, which has no node
             "sigma_min": verdict.sigma_min if np.isfinite(verdict.sigma_min) else None,
         }
-        report["coefficients_commute"] = commuting
+        report["coefficients_commute"] = commuting is not None
         if conditions is not None:
             report["condition_matrix"] = {
                 "0_zero_in_taylor": conditions.zero_in_taylor,

@@ -11,13 +11,13 @@ Each decision is one batched SVD: of both Koszul differentials at a point,
 or of the shifted pairs of every joint point for their witnesses.
 
 The Kronecker structure of a commuting pencil is read off the same joint
-eigenspaces (:func:`commuting_structure`): they block-diagonalize the
-pencil, each block has one known point, and only the (0, 0) block, which
-holds every singular block, takes the staircase; this is the path
-``analyze`` takes for square commuting pencils, while every other pencil
-takes :func:`~pencillab.kronecker.staircase_structure`.  Each public
-function validates its pair once and runs a private core on the
-validated arrays, which the others call in turn.
+eigenvectors when every joint point is simple and each decision clears
+its guard band by the conditioning of the eigenvector basis
+(:func:`commuting_structure`); otherwise, and for every pencil that is
+not square and commuting, :func:`~pencillab.kronecker.staircase_structure`
+decides it.  ``analyze`` takes a commuting pair's structure, spectrum and
+conditions from :func:`commuting_analysis`.  Each public function
+validates its pair once: one that calls another lets the callee validate.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement,
-                     RankDecisionUnstable)
-from .kronecker import (KroneckerStructure, SingularityEvidence, _chain_sizes, _staircase,
-                        is_singular)
+from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
+from .kronecker import KroneckerStructure, SingularityEvidence, is_singular, staircase_structure
 from .linalg import (RANK_GUARD, det_sample_nodes, invariant_subspaces, node_stack,
                      numerical_rank, rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
@@ -78,11 +76,7 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
     deficient and neither coefficient's scale swamps the other's.  d2 has
     the singular values of d2* = [-S_B*; S_A*], 2n x n like d1 = [S_A; S_B].
     """
-    return _koszul_at(*_require_commuting(a, b, tol), z1, z2, tol)
-
-
-def _koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig) -> KoszulAssessment:
-    """The body of :func:`koszul_at` on a validated commuting pair."""
+    a, b = _require_commuting(a, b, tol)
     n = a.shape[0]
     sa, sb = _shifted_blocks(a, b, z1, z2)
     sigma = singular_values([np.vstack([sa, sb]), np.vstack([-sb.conj().T, sa.conj().T])])
@@ -173,11 +167,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     each eigenvalue cluster of A is invariant under B too, and splits
     along the clusters of B restricted to it into the joint points.
     """
-    return _taylor_spectrum(*_require_commuting(a, b, tol), tol)
-
-
-def _taylor_spectrum(a, b, tol: ToleranceConfig) -> TaylorSpectrum:
-    """The body of :func:`taylor_spectrum` on a validated commuting pair."""
+    a, b = _require_commuting(a, b, tol)
     return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)[0]
 
 
@@ -212,9 +202,9 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     |A| + |lam| |B|, beyond every eigenvalue of A + lam B.  A failure
     raises :class:`OracleDisagreement`.
     """
-    a, b = _require_commuting(a, b, tol)
+    direct = taylor_spectrum(a, b, tol)  # validates the pair
+    a, b = as_matrix(a), as_matrix(b)
     n = a.shape[0]
-    direct = _taylor_spectrum(a, b, tol)
     if not n:
         return direct
     for z1, z2 in direct.points:
@@ -257,27 +247,23 @@ def commuting_structure(
 ) -> tuple[KroneckerStructure, TaylorSpectrum]:
     """Kronecker structure of A + lam B for commuting A, B, read off the joint spectrum.
 
-    The joint generalized eigenspaces span Q_k of :func:`taylor_spectrum`
-    are invariant under A and B and sum to C^n, so with T = [Q_1 ... Q_K]
-    the balanced pencil (A, rho B), rho = |A|_F / |B|_F, splits as
-    T^-1 (A, rho B) T = (+)_k (A_k, rho B_k) (Bavely & Stewart 1979;
-    Demmel 1983), where A_k and B_k have the single eigenvalues alpha_k
-    and beta_k of the joint point.  The off-block part of that one solve
-    is the split's backward error; unless it lies a factor ``RANK_GUARD``
-    below the rank cutoff ``rank_rel_tol * scale * n`` of the whole
-    balanced pencil, the split raises :class:`RankDecisionUnstable`.
-
-    One stacked rank decision of every (|alpha_k|, |rho beta_k|) at that
-    anchor reads each block: beta_k nonzero is a regular block whose only
-    eigenvalue is alpha_k / beta_k, beta_k zero with alpha_k nonzero a
-    block at infinity, and both zero the block holding every singular
-    block, nonempty exactly when the pencil is singular (the paper's
-    theorem).  A 1 x 1 block is J_1(alpha_k / beta_k), N_1 or
-    L_0 (+) L_0^T; a larger regular block takes its Jordan sizes from
-    :func:`~pencillab.kronecker._chain_sizes` at its one point (with A and
-    B swapped at infinity), and the (0, 0) block from the staircase body
-    anchored at the whole pencil's scale.  Returns the structure and the
-    Taylor spectrum of the same pass.
+    When every joint point (alpha_k, beta_k) of :func:`taylor_spectrum` is
+    simple, its unit eigenvectors t_k form T, and T^-1 (A, rho B) T is
+    diagonal for the balanced pencil (A, rho B), rho = |A|_F / |B|_F.  The
+    structure is then one 1 x 1 block per point: J_1(alpha_k / beta_k)
+    when rho beta_k is nonzero, N_1 when only alpha_k is, L_0 (+) L_0^T
+    when both are zero.  Moving between the coordinates of T and those of
+    the pencil magnifies a perturbation by at most kappa = cond(T), so the
+    read-off is taken only when the off-diagonal part of that one solve
+    (the split's backward error), times kappa, lies a factor
+    ``RANK_GUARD`` below the rank cutoff ``rank_rel_tol * scale * n`` of
+    the balanced pencil, and each coordinate the blocks are read from,
+    |rho beta_k| always and |alpha_k| where beta_k is zero, lies a factor
+    ``RANK_GUARD`` * kappa from that cutoff (Bavely & Stewart 1979;
+    Demmel 1983).  Otherwise, and whenever a point is multiple,
+    :func:`~pencillab.kronecker.staircase_structure` decides the
+    structure.  Returns the structure and the Taylor spectrum of the same
+    pass.
     """
     return _commuting_structure(*_require_commuting(a, b, tol), tol)
 
@@ -285,56 +271,42 @@ def commuting_structure(
 def _commuting_structure(a, b, tol: ToleranceConfig) -> tuple[KroneckerStructure, TaylorSpectrum]:
     """The body of :func:`commuting_structure` on a validated commuting pair."""
     spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    structure = _simple_point_structure(a, b, spectrum, bases, tol)
+    if structure is None:
+        structure = staircase_structure(Pencil(a, b), tol)
+    return structure, spectrum
+
+
+def _simple_point_structure(a, b, spectrum: TaylorSpectrum, bases, tol: ToleranceConfig):
+    """The 1 x 1 blocks of simple joint points, or None when a decision is unclear."""
     n = a.shape[0]
     if not n:
-        return KroneckerStructure(), spectrum
+        return KroneckerStructure()
+    if max(spectrum.multiplicities) > 1:
+        return None
     p, rho = Pencil(a, b).balanced()
-    scale = p.norm_scale()
     t = np.hstack(bases)
-    try:
-        split = np.linalg.solve(t, np.hstack([p.a @ t, p.b @ t]))
-    except np.linalg.LinAlgError as exc:
-        raise RankDecisionUnstable(f"the joint eigenspaces do not span C^{n}: {exc}") from exc
-    ends = np.cumsum((0,) + spectrum.multiplicities)
-    owner = np.repeat(np.arange(len(bases)), spectrum.multiplicities)
-    error = float(np.linalg.norm(split[np.tile(owner[:, None] != owner, 2)]))
+    kappa = float(np.linalg.cond(t))
+    if not kappa < 1.0 / np.finfo(float).eps:  # T is singular to working precision
+        return None
+    split = np.linalg.solve(t, np.hstack([p.a @ t, p.b @ t]))
+    error = float(np.linalg.norm(split[np.tile(~np.eye(n, dtype=bool), 2)]))
     coords = np.abs(np.array(spectrum.points)) * (1.0, rho)
-    nonzero, cutoff, margin = rank_decision(coords[..., None], (n, n), scale, tol)
-    if not error * RANK_GUARD <= cutoff.min():
-        raise RankDecisionUnstable(
-            f"the joint eigenspaces split the pencil with backward error {error:.3e}, "
-            f"not a factor {RANK_GUARD:g} below the cutoff {cutoff.min():.3e}",
-            sigma=error, threshold=float(cutoff.min()))
-    if margin.min() <= RANK_GUARD:
-        k, j = np.unravel_index(margin.argmin(), margin.shape)
-        raise RankDecisionUnstable(
-            f"joint point {spectrum.points[k]}: |coordinate| {coords[k, j]:.3e} within a "
-            f"factor {RANK_GUARD:g} of cutoff {cutoff[k, j]:.3e}",
-            sigma=float(coords[k, j]), threshold=float(cutoff[k, j]))
-    col, row, jordan, nilpotent = [], [], [], []
-    for (z1, z2), m, (nonzero_a, nonzero_b), lo, hi in zip(
-            spectrum.points, spectrum.multiplicities, nonzero, ends, ends[1:]):
-        ak, bk = split[lo:hi, lo:hi], split[lo:hi, n + lo : n + hi]
-        context = f"block of ({z1:.6g}, {z2:.6g})"
-        if not nonzero_a and not nonzero_b:
-            block = (KroneckerStructure([(0, 1)], [(0, 1)]) if m == 1
-                     else _staircase(Pencil(ak, bk), rho, scale, tol))
-            col += block.col_minimal
-            row += block.row_minimal
-            jordan += block.jordan
-            nilpotent += block.nilpotent
-            continue
-        if not nonzero_b:
-            sizes = [1] if m == 1 else _chain_sizes(bk, ak, m, tol, context, scale)
-            nilpotent += sizes
+    nonzero, cutoff, margin = rank_decision(coords[..., None], (n, n), p.norm_scale(), tol)
+    read = np.column_stack([nonzero[:, 1] == 0, np.ones(n, dtype=bool)])
+    if not (kappa * error * RANK_GUARD <= cutoff.min()
+            and np.all(margin[read] > RANK_GUARD * kappa)):
+        return None
+    jordan, nilpotent, zero = [], [], 0
+    for (z1, z2), (nonzero_a, nonzero_b) in zip(spectrum.points, nonzero):
+        if nonzero_b:
+            jordan.append((1, z1 / z2))
+        elif nonzero_a:
+            nilpotent.append(1)
         else:
-            w = -z1 / (rho * z2)
-            sizes = [1] if m == 1 else _chain_sizes(ak + w * bk, bk, m, tol, context,
-                                                    scale * max(1.0, abs(w)))
-            jordan += [(size, z1 / z2) for size in sizes]
-        if sum(sizes) != m:
-            raise RankDecisionUnstable(f"{context}: block sizes {sizes} do not total {m}")
-    return KroneckerStructure(col, row, jordan, nilpotent), spectrum
+            zero += 1
+    minimal = [(0, zero)] if zero else []
+    return KroneckerStructure(minimal, list(minimal), jordan, nilpotent)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +352,11 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     when an isotropic certificate was actually found.  A valid separation
     certificate of the hull proves (ii) false, so no search runs then.
     """
-    return _condition_matrix(*_require_commuting(a, b, tol), tol)
-
-
-def _condition_matrix(a, b, tol: ToleranceConfig) -> ConditionMatrix:
-    """The body of :func:`condition_matrix` on a validated commuting pair."""
     from . import numrange
 
+    koszul = koszul_at(a, b, 0.0, 0.0, tol)  # validates the pair
+    a, b = as_matrix(a), as_matrix(b)
     p = Pencil(a, b)
-    koszul = _koszul_at(a, b, 0.0, 0.0, tol)
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
     cond_i = bool(singularity)
@@ -429,6 +397,29 @@ def _condition_matrix(a, b, tol: ToleranceConfig) -> ConditionMatrix:
         membership=membership,
         implications=tuple(checked),
     )
+
+
+def commuting_analysis(
+    a, b, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[KroneckerStructure, TaylorSpectrum, ConditionMatrix] | None:
+    """Structure, Taylor spectrum and conditions of a square pair, or None if it does not commute.
+
+    The paper's theorem cross-checks the two: the structure of
+    :func:`commuting_structure` has minimal indices exactly when condition
+    (i), the singularity sweep of :func:`condition_matrix`, holds, or
+    :class:`ImplicationViolated` is raised.
+    """
+    try:
+        conditions = condition_matrix(a, b, tol)  # validates the pair
+    except NotCommuting:
+        return None
+    structure, spectrum = _commuting_structure(as_matrix(a), as_matrix(b), tol)
+    if bool(structure.col_minimal or structure.row_minimal) != conditions.pencil_singular:
+        raise ImplicationViolated(
+            f"the structure read off the joint spectrum has minimal indices "
+            f"{structure.col_minimal} and {structure.row_minimal}, but the singularity "
+            f"sweep says singular={conditions.pencil_singular}")
+    return structure, spectrum, conditions
 
 
 # ---------------------------------------------------------------------------

@@ -469,17 +469,7 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
     eigenvalue divided by c.
     """
     p, rho = p.balanced()
-    return _staircase(p, rho, p.norm_scale(), tol)
-
-
-def _staircase(p: Pencil, rho: float, scale: float, tol: ToleranceConfig) -> KroneckerStructure:
-    """The body of :func:`staircase_structure` on a pencil (A, rho B) already balanced.
-
-    Every cutoff anchors at ``scale``, so a block cut from a larger pencil
-    (:func:`~pencillab.koszul.commuting_structure`) reads rounding noise as
-    rank deficient rather than relative to its own norm; each finite
-    eigenvalue is mapped back by the factor rho.
-    """
+    scale = p.norm_scale()
     col_minimal, nilpotent, e, f, dropped = _compressions(p.b, p.a, tol, "columns", scale)
     row_minimal, left_chains, e, f, dropped_left = (), [], e.T, f.T, 0.0
     if e.shape[0] != e.shape[1]:

@@ -137,12 +137,13 @@ class TestAnalyze:
 
     def test_commuting_pencil_reads_its_structure_off_the_joint_spectrum(
             self, fixtures_dir, monkeypatch, capsys):
-        from pencillab import cli
+        from pencillab import cli, koszul
 
         def refuse(*args, **kwargs):
             raise AssertionError("the staircase ran on a commuting pencil")
 
         monkeypatch.setattr(cli, "staircase_structure", refuse)
+        monkeypatch.setattr(koszul, "staircase_structure", refuse)
         code, out, _ = run_cli(["analyze", str(fixtures_dir / "signed_diag_pair.json")], capsys)
         assert code == 0
         kronecker = json.loads(out)["kronecker"]
@@ -153,16 +154,31 @@ class TestAnalyze:
     def test_structure_contradicting_singularity_exit_two(
             self, fixtures_dir, monkeypatch, capsys):
         # a singular pencil has minimal indices: a structure without them is a bug
-        from pencillab import cli
+        from pencillab import koszul
         from pencillab.kronecker import KroneckerStructure
 
-        read = cli._commuting_structure
-        monkeypatch.setattr(cli, "_commuting_structure", lambda a, b, tol: (
+        read = koszul._commuting_structure
+        monkeypatch.setattr(koszul, "_commuting_structure", lambda a, b, tol: (
             KroneckerStructure(jordan=[(1, 0.0), (1, 0.0)]), read(a, b, tol)[1]))
         code, out, err = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)
         assert code == 2
         assert out == ""
         assert "minimal indices" in err
+
+    def test_small_eigenvalue_of_a_regular_commuting_pencil(self, tmp_path, capsys):
+        # A = diag(1, 1e-9), B = I: |alpha| = 1e-9 is in the guard band, but it
+        # is never read, since beta = 1 makes both blocks J_1
+        small = tmp_path / "small.json"
+        entries = [[1, 0], [0, 0], [0, 0], [1e-9, 0]]
+        small.write_text(json.dumps({
+            "a": {"rows": 2, "cols": 2, "entries": entries},
+            "b": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+        }), encoding="utf-8")
+        code, out, _ = run_cli(["analyze", str(small)], capsys)
+        assert code == 0
+        kronecker = json.loads(out)["kronecker"]
+        assert sorted(lam[0] for _, lam in kronecker["jordan"]) == pytest.approx([1e-9, 1.0])
+        assert kronecker["col_minimal"] == kronecker["nilpotent"] == []
 
     def test_empty_pencil(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -114,10 +114,11 @@ class TestEmptyPair:
     lambda a, b: pl.spectrum_invertible_characterization(a, b),
     lambda a, b: pl.commuting_structure(a, b),
     lambda a, b: pl.condition_matrix(a, b),
+    lambda a, b: pl.commuting_analysis(a, b),
     lambda a, b: cli.analyze_pencil(pl.Pencil(a, b), pl.DEFAULT_TOL),
 ], ids=["check_commuting", "koszul_at", "taylor_spectrum", "spectrum_via_singularity",
         "spectrum_invertible_characterization", "commuting_structure", "condition_matrix",
-        "analyze_pencil"])
+        "commuting_analysis", "analyze_pencil"])
 def test_each_public_call_validates_the_pair_once(monkeypatch, call):
     from pencillab import koszul
 
@@ -129,7 +130,6 @@ def test_each_public_call_validates_the_pair_once(monkeypatch, call):
         return require(a, b, tol)
 
     monkeypatch.setattr(koszul, "_require_commuting", counted)
-    monkeypatch.setattr(cli, "_require_commuting", counted)
     call(np.diag([1.0, 2.0, 4.0]), np.diag([3.0, 1.0, 2.0]))
     assert len(calls) == 1
 
@@ -271,7 +271,7 @@ class TestSpectrumOracles:
         true = koszul.taylor_spectrum(a, b)
         assert true.multiplicities == (1, 2)
         moved = dataclasses.replace(true, multiplicities=(2, 1))
-        monkeypatch.setattr(koszul, "_taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
+        monkeypatch.setattr(koszul, "taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
         with pytest.raises(pl.OracleDisagreement):
             pl.spectrum_via_singularity(a, b)
 
@@ -457,7 +457,7 @@ def test_structure_and_conditions_survive_scaling_and_unitary_coordinates(seed, 
 class TestCommutingStructure:
     def test_matches_the_staircase_on_every_kind(self, tol):
         # the draws are unscaled and at (cA, dB); the staircase and the Taylor
-        # spectrum are the references, and neither may succeed where this raises
+        # spectrum are the references, and this may raise only where one of them does
         outcomes = {"agree": 0, "both raise": 0}
         for k, kind in enumerate(KINDS):
             for s in range(60):
@@ -506,19 +506,53 @@ class TestCommutingStructure:
                 want.points, want.multiplicities, want.residuals)
             assert all(np.array_equal(x, y) for x, y in zip(got.witnesses, want.witnesses))
 
+    @pytest.fixture
+    def staircase_calls(self, monkeypatch):
+        from pencillab import koszul
+
+        calls = []
+        staircase = koszul.staircase_structure
+
+        def counted(p, tol=pl.DEFAULT_TOL):
+            calls.append(p)
+            return staircase(p, tol)
+
+        monkeypatch.setattr(koszul, "staircase_structure", counted)
+        return calls
+
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_chains_at_a_finite_point_and_at_infinity(self, n):
-        # (I (+) M_n) + lam (M_n (+) I): J_n(0) from the point (0, 1), N_n from (1, 0)
+    def test_multiple_points_take_the_staircase(self, n, staircase_calls):
+        # (I (+) M_n) + lam (M_n (+) I) is J_n(0) (+) N_n: the points (0, 1) and
+        # (1, 0) are simple only at n = 1
         a, b = pl.shift_truncation_pair(n)
         got = pl.commuting_structure(a, b)[0]
-        assert got == KroneckerStructure(jordan=[(n, 0.0)], nilpotent=[n])
-        assert pl.structures_match(got, pl.staircase_structure(pl.Pencil(a, b)))
+        assert pl.structures_match(got, KroneckerStructure(jordan=[(n, 0.0)], nilpotent=[n]))
+        assert len(staircase_calls) == (n > 1)
 
-    def test_guard_band_point_raises(self):
+    def test_small_alpha_beside_a_clear_beta_is_read_off(self, staircase_calls):
+        # |alpha| = 1e-9 lies in the guard band, but beta = 1 decides J_1(1e-9)
+        a, b = np.diag([1.0, 1e-9]), np.eye(2)
+        got = pl.commuting_structure(a, b)[0]
+        assert not staircase_calls
+        assert pl.structures_match(got, pl.staircase_structure(pl.Pencil(a, b)))
+        assert sorted(lam.real for _, lam in got.jordan) == pytest.approx([1e-9, 1.0])
+
+    def test_guard_band_point_takes_the_staircase(self, staircase_calls):
+        # beta = 0 at both points, so |alpha| = 1e-9 decides, and it lies in the band
         with pytest.raises(pl.RankDecisionUnstable, match="within a factor 10"):
             pl.commuting_structure(np.diag([1.0, 1e-9]), np.zeros((2, 2)))
+        assert len(staircase_calls) == 1
 
-    def test_ill_conditioned_split_raises(self, monkeypatch):
+    def test_ill_conditioned_eigenvectors_take_the_staircase(self, staircase_calls):
+        # eigenvectors 1e-6 apart: a backward error of 1e-16 in their coordinates
+        # is one of 1e-4 in the pencil's, so the read-off is not trusted
+        a = np.array([[1.0, 1e6], [0.0, 2.0]])
+        got = pl.commuting_structure(a, a @ a)[0]
+        assert len(staircase_calls) == 1
+        assert pl.structures_match(got, pl.staircase_structure(pl.Pencil(a, a @ a)))
+        assert got.nilpotent == (1,) and len(got.jordan) == 1
+
+    def test_skewed_split_takes_the_staircase(self, monkeypatch, staircase_calls):
         from pencillab import koszul
 
         # e1 and a basis 1e-6 off it are each nearly invariant, with nearly a common
@@ -526,8 +560,9 @@ class TestCommutingStructure:
         e1 = np.array([[1.0], [0.0]])
         skewed = np.array([[1.0], [1e-6]]) / np.hypot(1.0, 1e-6)
         monkeypatch.setattr(koszul, "invariant_subspaces", lambda a: (None, (e1, skewed)))
-        with pytest.raises(pl.RankDecisionUnstable, match="backward error"):
-            pl.commuting_structure(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        got = pl.commuting_structure(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))[0]
+        assert len(staircase_calls) == 1
+        assert pl.structures_match(got, KroneckerStructure(jordan=[(1, 1 / 3), (1, 0.5)]))
 
     def test_noncommuting_rejected(self):
         with pytest.raises(pl.NotCommuting):
@@ -638,7 +673,7 @@ class TestConditionMatrix:
         def exact(a, b, z1, z2, tol=pl.DEFAULT_TOL):
             return koszul.KoszulAssessment((z1, z2), rank_d1=2, rank_d2=2, dim=2, exact=True)
 
-        monkeypatch.setattr(koszul, "_koszul_at", exact)
+        monkeypatch.setattr(koszul, "koszul_at", exact)
         with pytest.raises(pl.ImplicationViolated, match=r"\(i\) implies \(0\)"):
             pl.condition_matrix(p.a, p.b)
 
