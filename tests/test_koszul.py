@@ -564,6 +564,21 @@ class TestCommutingStructure:
         assert len(staircase_calls) == 1
         assert pl.structures_match(got, KroneckerStructure(jordan=[(1, 1 / 3), (1, 0.5)]))
 
+    def test_backward_error_counts_the_basis_conditioning(self, monkeypatch, staircase_calls):
+        from pencillab import koszul
+
+        # eigenvectors e1 and (h, 1) of A = [[1, h], [0, 2]], the second off by 1e-9:
+        # the split's backward error, 1.4e-9, clears the cutoff 2e-7 by a factor 140,
+        # but cond(T) = 2h = 2000 times it does not
+        h = 1e3
+        a = np.array([[1.0, h], [0.0, 2.0]])
+        e1 = np.array([[1.0], [0.0]])
+        off = np.array([[h], [1.0 + 1e-9]]) / np.hypot(h, 1.0 + 1e-9)
+        monkeypatch.setattr(koszul, "invariant_subspaces", lambda a: (None, (e1, off)))
+        got = pl.commuting_structure(a, a + 2.0 * np.eye(2))[0]
+        assert len(staircase_calls) == 1
+        assert pl.structures_match(got, KroneckerStructure(jordan=[(1, 1 / 3), (1, 0.5)]))
+
     def test_noncommuting_rejected(self):
         with pytest.raises(pl.NotCommuting):
             pl.commuting_structure(np.array([[0.0, 1.0], [0.0, 0.0]]),
