@@ -365,7 +365,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
 
     certificate = None
     if cond_i:
-        certificate = numrange._singular_certificate(p)
+        certificate = numrange._singular_certificate(p, tol)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
         certificate = numrange.isotropic_search(a, b, tol)
     cond_ii = certificate is not None and certificate.is_valid(a, b)

@@ -104,9 +104,18 @@ def rank_decision(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig
     which ``scale`` broadcasts.  The margin is the factor between the
     cutoff and the nearest singular value, infinite when all are zero.
     Singular values are read as |sigma|, since a full SVD of a matrix with
-    signed zero entries can return -0.0.
+    signed zero entries can return -0.0.  One matrix (a 1-D ``sigma``)
+    takes the same operations without the stack's broadcasting, and gets
+    the same bits.
     """
     sigma = np.abs(np.asarray(sigma, dtype=float))
+    if sigma.ndim == 1:
+        cutoff = tol.rank_rel_tol * max(float(sigma.max(initial=0.0)), scale) * max(shape)
+        closeness = np.minimum(sigma, cutoff) / np.maximum(np.maximum(sigma, cutoff),
+                                                           np.finfo(float).tiny)
+        nearest = float(closeness.max(initial=0.0))
+        margin = 1.0 / nearest if nearest else math.inf
+        return int(np.count_nonzero(sigma > cutoff)), cutoff, margin
     cutoff = tol.rank_rel_tol * np.maximum(sigma.max(axis=-1, initial=0.0), scale) * max(shape)
     cut = cutoff[..., None]
     closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), np.finfo(float).tiny)

@@ -3,7 +3,12 @@
 Membership of the origin in the joint numerical range W(A, B) is
 certified constructively for singular pencils, from a least-degree
 polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
-regular pairs only by randomized local search; absence is claimed only
+regular pairs only by randomized local search.  A singular pencil needs
+no separate singularity sweep: once every sampled determinant is
+negligible, the clean kernel of the Toeplitz resultant that yields the
+vector proves singularity itself, and the two-channel sweep of
+:func:`~pencillab.kronecker.is_singular` runs only when no such kernel
+is found.  Absence is claimed only
 through the convex hull, where Wolfe's min-norm-point method (Gilbert
 1966; Wolfe 1976) certifies both answers: convex weights on at most five
 range points that average to the origin, or a separating direction of the
@@ -19,7 +24,8 @@ from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
-from .kronecker import _toeplitz_resultant, is_singular
+from .kronecker import _pencil_sample_nodes, _toeplitz_resultant, is_singular
+from .linalg import RANK_GUARD, det_zero_sweep, node_stack, rank_decision
 from .pencil import Pencil, as_matrix
 
 CERT_REL_TOL = 1e-8
@@ -61,13 +67,19 @@ class IsotropicCertificate:
     ``method`` is ``"kernel"`` (a common kernel vector) or
     ``"kronecker-constructive"`` (a polynomial kernel vector of degree >= 1)
     from :func:`isotropic_from_singular`, and ``"random-search"`` only from
-    :func:`isotropic_search`.
+    :func:`isotropic_search`.  A constructed vector also records the
+    ``degree`` k of the Toeplitz resultant T_k whose kernel proved the
+    pencil singular and that kernel's ``rank_margin`` (the factor between
+    the rank cutoff and the nearest singular value of T_k); both are None
+    for a searched vector.
     """
 
     vector: np.ndarray
     residual_a: float
     residual_b: float
     method: str
+    degree: int | None = None
+    rank_margin: float | None = None
 
     def is_valid(self, a, b, rel_tol: float = CERT_REL_TOL) -> bool:
         """Recompute the residuals from scratch and test them."""
@@ -84,7 +96,8 @@ class IsotropicCertificate:
         )
 
 
-def _certificate(a, b, x, method: str) -> IsotropicCertificate:
+def _certificate(a, b, x, method: str, degree: int | None = None,
+                 rank_margin: float | None = None) -> IsotropicCertificate:
     x = np.asarray(x, dtype=complex)
     x = x / np.linalg.norm(x)
     return IsotropicCertificate(
@@ -92,6 +105,8 @@ def _certificate(a, b, x, method: str) -> IsotropicCertificate:
         residual_a=float(abs(x.conj() @ a @ x)),
         residual_b=float(abs(x.conj() @ b @ x)),
         method=method,
+        degree=degree,
+        rank_margin=rank_margin,
     )
 
 
@@ -176,36 +191,69 @@ def isotropic_search(
 def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> IsotropicCertificate:
     """Common isotropic vector of the coefficients of a singular pencil.
 
-    For k = 0, 1, ..., n, X = [x_0 ... x_k] is the smallest singular vector
-    of the degree-k kernel resultant of (A, rho B), and x = X c with
-    R* X c = 0 for R = B [x_0 ... x_(k-1)]; the first valid x is returned.
-    At the least column minimal index X is a minimal polynomial kernel
-    vector, so A X and B X lie in span R and x* A x = x* B x = 0.
+    One determinant sweep gates the construction: when every determinant
+    sampled at the n + 1 nodes of :func:`~pencillab.kronecker.is_singular`
+    is negligible, :func:`_singular_certificate` walks the degrees
+    k = 0, 1, ..., n of the Toeplitz resultant and returns the first valid
+    vector built from a clean kernel of T_k.  A polynomial kernel vector
+    x(lam) with (A + lam B) x(lam) = 0 proves the pencil singular (Van
+    Dooren 1979), so no rank sweep runs on that path.  The full
+    two-channel :func:`~pencillab.kronecker.is_singular` decides only when
+    the determinants say regular or no degree gives a certificate: it
+    raises :class:`NotSingular` for a regular pencil and
+    :class:`TransformUnavailable` for a singular one (or its own
+    :class:`InconsistentSingularityEvidence`).  The gate keeps a regular
+    pencil from building every resultant up to T_n before it raises.
     """
     if not p.is_square:
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
+    failure = None
+    if p.rows and det_zero_sweep(*node_stack(p, _pencil_sample_nodes(p)), tol)[0]:
+        try:
+            return _singular_certificate(p, tol)
+        except TransformUnavailable as exc:
+            failure = exc
     if not is_singular(p, tol):
         raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
-    return _singular_certificate(p)
+    raise failure  # set: is_singular raises when its determinant channel says regular
 
 
-def _singular_certificate(p: Pencil) -> IsotropicCertificate:
-    """The body of :func:`isotropic_from_singular` for a pencil known to be singular."""
+def _singular_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate:
+    """Isotropic vector from the least-degree clean kernel of the Toeplitz resultant.
+
+    For k = 0, 1, ..., n, the singular values of the degree-k resultant
+    T_k of the balanced pencil (A, rho B) decide its rank by
+    :func:`~pencillab.linalg.rank_decision`, anchored at the balanced
+    pencil's scale.  Only a kernel clear of the cutoff by more than
+    ``RANK_GUARD`` is used: then X = [x_0 ... x_k] is the smallest
+    singular vector of T_k, and x = X c with R* X c = 0 for
+    R = B [x_0 ... x_(k-1)]; the first valid x is returned.  At the least
+    column minimal index X is a minimal polynomial kernel vector, so A X
+    and B X lie in span R and x* A x = x* B x = 0.  Raises
+    :class:`TransformUnavailable` when no degree gives a valid vector.
+    """
     a, b = p.a, p.b
     n = p.cols
     q = p.balanced()[0]
+    scale = q.norm_scale()
     for k in range(n + 1):
-        x_mat = np.linalg.svd(_toeplitz_resultant(q, k))[2][-1].conj().reshape(k + 1, n).T
+        t = _toeplitz_resultant(q, k)
+        _, sigma, vh = np.linalg.svd(t)
+        rank, _, margin = rank_decision(sigma, t.shape, scale, tol)
+        if rank == t.shape[1] or margin <= RANK_GUARD:
+            continue
+        x_mat = vh[-1].conj().reshape(k + 1, n).T
         if k == 0:
             x = x_mat[:, 0]
         else:
             r = q.b @ x_mat[:, :k]
             x = x_mat @ np.linalg.svd(r.conj().T @ x_mat)[2][-1].conj()
-        cert = _certificate(a, b, x, "kernel" if k == 0 else "kronecker-constructive")
+        cert = _certificate(a, b, x, "kernel" if k == 0 else "kronecker-constructive",
+                            degree=k, rank_margin=float(margin))
         if cert.is_valid(a, b):
             return cert
     raise TransformUnavailable(
-        f"no polynomial kernel vector of degree <= {n} gives a valid isotropic certificate"
+        f"no clean polynomial kernel vector of degree <= {n} gives a valid isotropic certificate"
     )
 
 
@@ -334,10 +382,13 @@ def conv_hull_membership(
         cert = InsideCertificate(np.eye(n, dtype=complex), np.full(n, 1.0 / max(n, 1)))
         return ConvHullMembership("inside", 0.0, np.eye(4)[0], scale, inside_certificate=cert)
     gap_floor = 100.0 * n * np.finfo(float).eps * scale  # rounding in eigh and NNLS
-    vectors, atoms = np.empty((0, n), dtype=complex), np.empty((0, 4))
+    flat = mats.reshape(4, n * n)
+    target = np.eye(5)[4]
+    vectors: list[np.ndarray] = []
+    atoms: list[np.ndarray] = []
     best, best_dir = -np.inf, point / norm / norms
     for iteration in range(1, HULL_MAX_ITERATIONS + 1):
-        values, eigvecs = np.linalg.eigh(np.tensordot(point / norm, mats, axes=1))
+        values, eigvecs = np.linalg.eigh((point / norm @ flat).reshape(n, n))
         if values[0] > best:
             best, best_dir = float(values[0]), point / norm / norms
         if best > BOUNDARY_TOL * scale:
@@ -345,18 +396,20 @@ def conv_hull_membership(
             return ConvHullMembership("outside", best, best_dir, scale, cert, iterations=iteration)
         if norm - values[0] <= gap_floor:
             break
-        vectors = np.vstack([vectors, eigvecs[:, 0]])
-        atoms = np.vstack([atoms, _atom(mats, eigvecs[:, 0])])
+        vectors.append(eigvecs[:, 0])
+        atoms.append(_atom(mats, eigvecs[:, 0]))
+        active = np.array(atoms)
         try:
-            weights = nnls(np.vstack([atoms.T / scale, np.ones(len(atoms))]), np.eye(5)[4])[0]
+            weights = nnls(np.vstack([active.T / scale, np.ones(len(atoms))]), target)[0]
         except RuntimeError:  # Lawson-Hanson's iteration limit: leave it undecided
             break
-        keep = weights > 0.0
-        vectors, atoms, weights = vectors[keep], atoms[keep], weights[keep] / weights.sum()
-        point = weights @ atoms
+        keep = np.flatnonzero(weights > 0.0)
+        vectors, atoms = [vectors[i] for i in keep], [atoms[i] for i in keep]
+        weights = weights[keep] / weights.sum()
+        point = weights @ active[keep]
         norm = float(np.linalg.norm(point))
         if norm <= INSIDE_SLACK * scale:
-            cert = InsideCertificate(vectors, weights)
+            cert = InsideCertificate(np.array(vectors), weights)
             return ConvHullMembership("inside", best, best_dir, scale, inside_certificate=cert,
                                       iterations=iteration)
     return ConvHullMembership("boundary", best, best_dir, scale, iterations=iteration)

@@ -92,6 +92,23 @@ class TestRankAndKernel:
             assert rank == pl.numerical_rank(m, scale=scale)
         assert np.all(margins[:3] > 10) and margins[3] == np.inf
 
+    def test_rank_decision_one_matrix_path_matches_the_stack(self, rng):
+        # a 1-D sigma skips the broadcasting; every output keeps its bits
+        from pencillab.linalg import rank_decision
+
+        cases = [np.array([]), np.zeros(3), np.array([0.0, -0.0]), np.array([2.0, 1e-12, -0.0])]
+        for _ in range(300):
+            k = int(rng.integers(1, 10))
+            sigma = np.sort(10.0 ** rng.uniform(-20.0, 2.0, k))[::-1]
+            sigma[k - int(rng.integers(0, k + 1)):] = rng.choice([0.0, -0.0])
+            cases.append(sigma)
+        for i, sigma in enumerate(cases):
+            shape, scale = (len(sigma) + i % 2, len(sigma)), (0.0, 1.0, 1e3)[i % 3]
+            one = rank_decision(sigma, shape, scale)
+            stack = [v[0] for v in rank_decision(sigma[None], shape, np.array([scale]))]
+            assert one[0] == stack[0]
+            assert [np.float64(v).tobytes() for v in one[1:]] == [v.tobytes() for v in stack[1:]]
+
     def test_rank_decision_reads_signed_zeros_as_zero(self):
         # a full SVD of a matrix with -0.0 entries can return -0.0
         from pencillab.linalg import rank_decision

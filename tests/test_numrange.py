@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 import pencillab as pl
 from pencillab.generators import (random_commuting_pair, random_doubly_commuting_pair,
                                   random_singular_pencil)
+from pencillab.linalg import RANK_GUARD
 from pencillab.numrange import BOUNDARY_TOL
 
 from conftest import complex_matrix
@@ -38,6 +39,7 @@ class TestIsotropicSearch:
         cert = pl.isotropic_search(a, b, restarts=50)
         assert cert is not None
         assert cert.method == "random-search"
+        assert cert.degree is None and cert.rank_margin is None
         assert cert.residual_a < 1e-10 and cert.residual_b < 1e-10
         assert cert.is_valid(a, b)
 
@@ -120,6 +122,51 @@ class TestIsotropicFromSingular:
         p = pl.Pencil(np.diag([1.0, -1.0]), np.diag([2.0, -2.0]))
         with pytest.raises(pl.NotSingular):
             pl.isotropic_from_singular(p)
+
+    @pytest.mark.parametrize("case", ["random", "node-on-eigenvalue"])
+    def test_regular_pencil_builds_no_resultant(self, monkeypatch, tol, case):
+        from pencillab import numrange
+
+        built = []
+        resultant = numrange._toeplitz_resultant
+
+        def counted(p, k):
+            built.append(k)
+            return resultant(p, k)
+
+        monkeypatch.setattr(numrange, "_toeplitz_resultant", counted)
+        if case == "random":
+            rng = np.random.default_rng(16)
+            p = pl.Pencil(complex_matrix(rng, 16, 16), complex_matrix(rng, 16, 16))
+        else:  # the first sweep node, lam = 1, is the eigenvalue of I - lam I
+            p = pl.Pencil(np.eye(4), -np.eye(4))
+        with pytest.raises(pl.NotSingular):
+            pl.isotropic_from_singular(p, tol)
+        assert built == []
+
+    def test_singular_pencil_runs_no_singularity_sweep(self, monkeypatch, tol):
+        # the resultant kernel proves singularity; the two-channel sweep never runs
+        from pencillab import numrange
+
+        def refuse(p, tol=tol):
+            raise AssertionError("is_singular ran on a singular pencil")
+
+        monkeypatch.setattr(numrange, "is_singular", refuse)
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            p, _ = random_singular_pencil(rng, max_size=10)
+            assert pl.isotropic_from_singular(p, tol).is_valid(p.a, p.b)
+
+    def test_degree_is_the_least_column_minimal_index(self, tol):
+        # staircase_structure is the independent oracle for the resultant's degree
+        rng = np.random.default_rng(24)
+        for i in range(40):
+            p, _ = random_singular_pencil(rng, max_size=10)
+            if i % 2:
+                p = pl.Pencil(p.a, p.b * 10.0 ** rng.uniform(-3.0, 3.0))
+            cert = pl.isotropic_from_singular(p, tol)
+            assert cert.degree == min(k for k, _ in pl.staircase_structure(p, tol).col_minimal)
+            assert cert.rank_margin > RANK_GUARD
 
     @pytest.mark.parametrize("seed", range(10))
     def test_node_on_eigenvalue(self, tol, seed):
