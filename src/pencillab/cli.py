@@ -204,7 +204,7 @@ def _check_hypo(rng: np.random.Generator, tol: ToleranceConfig, index: int) -> d
 def _check_dopico(rng: np.random.Generator, tol: ToleranceConfig, index: int) -> dict:
     p, _ = random_singular_pencil(rng, max_size=10)
     cert = isotropic_from_singular(p, tol)
-    ok = cert.is_valid(p.a, p.b) and pencil_nr_is_plane(p.a, p.b, tol)
+    ok = cert.is_valid(p.a, p.b) and pencil_nr_is_plane(p.a, p.b)
     return {
         "ok": ok,
         "pencil": plio.pencil_to_json(p),
@@ -341,7 +341,7 @@ def shift_experiment_rows(n_max: int, tol: ToleranceConfig) -> list[dict]:
         a, b = shift_truncation_pair(n)
         p = Pencil(a, b)
         size = 2 * n
-        coeffs = pencil_determinant_coefficients(p, tol)
+        coeffs = pencil_determinant_coefficients(p)
         scale = p.norm_scale() ** size
         true_coeffs = coeffs * scale
         lead_err = abs(true_coeffs[n] - 1.0)

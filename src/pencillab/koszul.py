@@ -29,23 +29,23 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import KroneckerStructure, SingularityEvidence, is_singular, staircase_structure
-from .linalg import (RANK_GUARD, det_sample_nodes, invariant_subspaces, node_stack,
-                     numerical_rank, rank_decision, singular_values)
+from .linalg import (RANK_GUARD, invariant_subspaces, node_stack, numerical_rank,
+                     rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
 
 
-def check_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def check_commuting(a, b) -> bool:
     """Whether AB = BA up to 1e-10 relative to |A| |B|."""
     try:
-        _require_commuting(a, b, tol)
+        _require_commuting(a, b)
     except NotCommuting:
         return False
     return True
 
 
-def _require_commuting(a, b, tol: ToleranceConfig):
+def _require_commuting(a, b):
     """A and B validated once as square matrices of one size, which must commute."""
     a = as_matrix(a)
     b = as_matrix(b)
@@ -76,7 +76,7 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
     deficient and neither coefficient's scale swamps the other's.  d2 has
     the singular values of d2* = [-S_B*; S_A*], 2n x n like d1 = [S_A; S_B].
     """
-    a, b = _require_commuting(a, b, tol)
+    a, b = _require_commuting(a, b)
     n = a.shape[0]
     sa, sb = _shifted_blocks(a, b, z1, z2)
     sigma = singular_values([np.vstack([sa, sb]), np.vstack([-sb.conj().T, sa.conj().T])])
@@ -167,7 +167,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     each eigenvalue cluster of A is invariant under B too, and splits
     along the clusters of B restricted to it into the joint points.
     """
-    a, b = _require_commuting(a, b, tol)
+    a, b = _require_commuting(a, b)
     return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)[0]
 
 
@@ -210,9 +210,7 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     for z1, z2 in direct.points:
         if not is_singular(Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
             raise OracleDisagreement(f"regular shifted pencil at ({z1}, {z2})", point=(z1, z2))
-    p = Pencil(a, b)
-    nodes = det_sample_nodes(p, n + 1)
-    stack, anchors = node_stack(p, nodes)
+    nodes, stack, anchors = node_stack(Pencil(a, b))
     shift = 2.0 * max(float(anchors[0]), np.finfo(float).tiny)  # every node has the same |lam|
     lhs = np.linalg.det(stack / shift - np.eye(n))
     z1, z2 = np.array(direct.points).T
@@ -235,7 +233,7 @@ def spectrum_invertible_characterization(
     place of the Schur form of A keeps this independent of
     :func:`taylor_spectrum`.  Only valid for invertible A and B.
     """
-    a, b = _require_commuting(a, b, tol)
+    a, b = _require_commuting(a, b)
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
@@ -265,7 +263,7 @@ def commuting_structure(
     structure.  Returns the structure and the Taylor spectrum of the same
     pass.
     """
-    return _commuting_structure(*_require_commuting(a, b, tol), tol)
+    return _commuting_structure(*_require_commuting(a, b), tol)
 
 
 def _commuting_structure(a, b, tol: ToleranceConfig) -> tuple[KroneckerStructure, TaylorSpectrum]:
@@ -360,7 +358,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
     cond_i = bool(singularity)
-    membership = numrange.conv_hull_membership(a, b, tol)
+    membership = numrange.conv_hull_membership(a, b)
     cond_iii = membership.verdict in ("inside", "boundary")
 
     certificate = None

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     RANK_GUARD,
-    det_sample_nodes,
     det_zero_sweep,
     disc_clusters,
     eigenvalue_discs,
@@ -171,14 +170,6 @@ class KroneckerStructure:
     def singular_only(self) -> bool:
         return not self.jordan and not self.nilpotent
 
-    def block_count(self) -> int:
-        return (
-            sum(m for _, m in self.col_minimal)
-            + sum(m for _, m in self.row_minimal)
-            + len(self.jordan)
-            + len(self.nilpotent)
-        )
-
 
 def assemble(structure: KroneckerStructure) -> Pencil:
     """Canonical block-diagonal pencil for a structure.
@@ -302,16 +293,11 @@ def _staircase_rank(sigma, shape, tol: ToleranceConfig, context: str, scale: flo
     return int(rank)
 
 
-def _pencil_sample_nodes(p: Pencil) -> np.ndarray:
-    """max(rows, cols) + 1 nodes: more than the points where A + lam B can lose rank."""
-    return det_sample_nodes(p, max(p.rows, p.cols) + 1)
-
-
 def normal_rank(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float]:
     """Normal rank of A + lam B and the rank margin at the node deciding it."""
     if p.a.size == 0:
         return 0, float("inf")
-    return _rank_sweep(*node_stack(p, _pencil_sample_nodes(p)), tol)[:2]
+    return _rank_sweep(*node_stack(p)[1:], tol)[:2]
 
 
 def _rank_sweep(
@@ -535,12 +521,12 @@ class SingularityEvidence:
 def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvidence:
     """Decide whether det(A + lam B) vanishes identically.
 
-    Two independent decision channels must agree: rank deficiency of
-    A + lam B across the whole node sweep (:func:`normal_rank`, the
-    staircase's minimal-block witness) and negligibility of every sampled
-    determinant (QR diagonal, :func:`~pencillab.linalg.det_zero_sweep`),
-    both read off one node stack.  Disagreement raises
-    :class:`InconsistentSingularityEvidence`, and a sweep without one clean
+    Two independent decision channels read one node stack
+    (:func:`~pencillab.linalg.node_stack`) and must agree
+    (:func:`_sweep_evidence`): rank deficiency of A + lam B across the
+    whole sweep (:func:`normal_rank`, the staircase's minimal-block
+    witness) and negligibility of every sampled determinant (QR diagonal,
+    :func:`~pencillab.linalg.det_zero_sweep`).  A sweep without one clean
     node raises :class:`RankDecisionUnstable`.
 
     n + 1 distinct nodes decide an n x n pencil: a regular pencil's
@@ -551,22 +537,45 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
     """
     if not p.is_square:
         raise ValueError(f"singularity is defined for square pencils, got {p.shape}")
-    n = p.rows
-    if n == 0:
+    if not p.rows:
         return SingularityEvidence(False, False, False, 0, float("inf"), 0, 0.0, 0, 0j,
                                    float("inf"))
-    nodes = _pencil_sample_nodes(p)
-    stack, anchors = node_stack(p, nodes)
+    sweep = node_stack(p)
+    return _sweep_evidence(sweep, det_zero_sweep(*sweep[1:], tol), tol)
+
+
+def _sweep_evidence(sweep, det, tol: ToleranceConfig) -> SingularityEvidence:
+    """Both channels' verdicts over one node sweep of a square pencil, which must agree.
+
+    ``sweep`` is the (nodes, stack, anchors) of
+    :func:`~pencillab.linalg.node_stack` and ``det`` the determinant
+    channel's (verdict, largest ratio) from
+    :func:`~pencillab.linalg.det_zero_sweep` on it; the rank channel is
+    :func:`_rank_sweep` of the same stack.  Since sigma_min <= min |r_kk|
+    and max |r_kk| <= sigma_1, a node of clean full rank has a diagonal
+    ratio above ``RANK_GUARD * rank_rel_tol * n``, so while ``det_zero_tol``
+    is at most that, a singular determinant verdict against a regular rank
+    verdict is a fault and raises :class:`InconsistentSingularityEvidence`.
+    The other way round, the unpivoted QR diagonal hides a rank deficiency
+    that the SVD sees (A = B = [[1, t], [0, 2]] with t = 1e6 reads
+    sigma_min / sigma_1 ~ 2 / t^2 but a diagonal ratio ~ 1 / t), which is
+    :class:`RankDecisionUnstable`.
+    """
+    nodes, stack, anchors = sweep
+    det_verdict, worst_ratio = det
+    n = stack.shape[-1]
     r, margin, k, sigma_min = _rank_sweep(stack, anchors, tol)
     rank_verdict = r < n
-    det_verdict, worst_ratio = det_zero_sweep(stack, anchors, tol)
-    if rank_verdict != det_verdict:
+    detail = f"normal rank {r}/{n}, max diagonal ratio {worst_ratio:.3e}"
+    if det_verdict and not rank_verdict:
         raise InconsistentSingularityEvidence(
-            f"rank sweep says singular={rank_verdict} but determinant sweep says "
-            f"singular={det_verdict} (normal rank {r}/{n}, max diagonal ratio {worst_ratio:.3e})",
+            f"rank sweep says regular but determinant sweep says singular ({detail})",
             rank_verdict=rank_verdict,
             det_verdict=det_verdict,
         )
+    if rank_verdict and not det_verdict:
+        raise RankDecisionUnstable(
+            f"rank sweep says singular but the QR diagonal does not reveal it ({detail})")
     return SingularityEvidence(
         singular=rank_verdict,
         rank_verdict=rank_verdict,

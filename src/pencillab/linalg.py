@@ -9,9 +9,11 @@ values at or below
 where ``scale`` anchors the cutoff to an ambient magnitude (0 for a purely
 relative cutoff).  A singular value within a factor ``RANK_GUARD`` = 10 of
 the cutoff makes the decision untrustworthy; callers that must be sure
-raise or skip on it.  A pencil sweep anchors node lam at |A| + |lam| |B|
-(:func:`node_stack`); determinant-zero decisions compare the QR diagonal
-with ``det_zero_tol`` against the same anchor (:func:`det_zero_sweep`).  Every
+raise or skip on it.  Every pencil sweep takes its nodes from
+:func:`node_stack`, which places max(rows, cols) + 1 of them on one circle
+and anchors node lam at |A| + |lam| |B|; determinant-zero decisions
+compare the QR diagonal with ``det_zero_tol`` against the same anchor
+(:func:`det_zero_sweep`).  Every
 eigenvalue cluster with its multiplicity comes from
 :func:`disc_clusters`, which links QZ eigenvalues by their own
 chordal perturbation discs (:func:`eigenvalue_discs`), and
@@ -312,35 +314,24 @@ def _components(linked: np.ndarray) -> np.ndarray:
 # determinant sampling of a pencil
 
 
-def det_sample_nodes(p: Pencil, count: int) -> np.ndarray:
-    """Equally spaced nodes on a circle whose radius balances |A| against |B|."""
+def node_stack(p: Pencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node sweep of a pencil: its nodes, A + lam_k B at each as one stack, and each anchor.
+
+    max(rows, cols) + 1 equally spaced nodes lie on the circle whose radius
+    |A|_F / |B|_F, clipped to [1e-3, 1e3], balances the two terms: more
+    nodes than the points where A + lam B can lose rank (Van Dooren, LAA
+    1979), and for a square pencil one more than the degree of its
+    determinant.  The anchor |A| + |lam_k| |B| is the size of the terms
+    summed, so a node on an eigenvalue, where the matrix is rounding noise
+    of that size, reads deficient, while an unbalanced pencil's anchor is
+    not overstated.
+    """
+    count = max(p.shape) + 1
     radius = float(np.clip(max(p.norms[0], 1e-12) / max(p.norms[1], 1e-12), 1e-3, 1e3))
-    return radius * np.exp(2j * np.pi * np.arange(count) / count)
-
-
-def sampled_determinants(p: Pencil, nodes) -> np.ndarray:
-    """Determinants of the norm-scaled pencil at the given nodes.
-
-    The uniform 1/s**n scaling keeps values representable without moving
-    any root of the determinant polynomial.
-    """
-    s = p.norm_scale()
-    if s == 0.0:
-        return np.zeros(len(nodes), dtype=complex)
-    return np.linalg.det(node_stack(Pencil(p.a / s, p.b / s), nodes)[0])
-
-
-def node_stack(p: Pencil, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """A + lam_k B at every node as one stack, and each node's anchor.
-
-    The anchor |A| + |lam_k| |B| is the size of the terms summed, so a node
-    on an eigenvalue, where the matrix is rounding noise of that size,
-    reads deficient, while an unbalanced pencil's anchor is not overstated.
-    """
-    nodes = np.asarray(nodes, dtype=complex)
+    nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     stack = nodes[:, None, None] * p.b
     stack += p.a
-    return stack, p.norms[0] + np.abs(nodes) * p.norms[1]
+    return nodes, stack, p.norms[0] + np.abs(nodes) * p.norms[1]
 
 
 def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
@@ -357,21 +348,20 @@ def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
     return bool(np.all(ratios < tol.det_zero_tol)), float(ratios.max())
 
 
-def pencil_determinant_coefficients(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def pencil_determinant_coefficients(p: Pencil) -> np.ndarray:
     """Coefficients c_0..c_n of det(A/s + lam*B/s) recovered by DFT.
 
-    Sampling on an equispaced circle makes the interpolation an inverse
-    DFT, which is perfectly conditioned; the uniform 1/s**n scaling leaves
-    the roots untouched.
+    Sampling on the equispaced circle of :func:`node_stack` makes the
+    interpolation an inverse DFT, which is perfectly conditioned; the
+    uniform 1/s**n scaling keeps values representable without moving any
+    root.
     """
     if not p.is_square:
         raise ValueError("determinant interpolation needs a square pencil")
     n = p.rows
-    nodes = det_sample_nodes(p, n + 1)
-    dets = sampled_determinants(p, nodes)
-    radius = abs(nodes[0])
-    coeffs = np.fft.fft(dets) / (n + 1) / radius ** np.arange(n + 1)
-    return coeffs
+    s = p.norm_scale() or 1.0
+    nodes, stack, _ = node_stack(Pencil(p.a / s, p.b / s))
+    return np.fft.fft(np.linalg.det(stack)) / (n + 1) / abs(nodes[0]) ** np.arange(n + 1)
 
 
 def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumList:
@@ -386,7 +376,7 @@ def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Spectru
     n = p.rows
     if n == 0:
         return SpectrumList((), ())
-    all_zero, _ = det_zero_sweep(*node_stack(p, det_sample_nodes(p, n + 1)), tol)
+    all_zero, _ = det_zero_sweep(*node_stack(p)[1:], tol)
     if all_zero:
         raise SingularPencil(
             "all sampled determinants are negligible; the pencil appears singular"

@@ -6,9 +6,10 @@ polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
 regular pairs only by randomized local search.  A singular pencil needs
 no separate singularity sweep: once every sampled determinant is
 negligible, the clean kernel of the Toeplitz resultant that yields the
-vector proves singularity itself, and the two-channel sweep of
+vector proves singularity itself.  The rank channel of
 :func:`~pencillab.kronecker.is_singular` runs only when no such kernel
-is found.  Absence is claimed only
+is found, on the stack the determinants were read from, so no second
+sweep is built or factored.  Absence is claimed only
 through the convex hull, where Wolfe's min-norm-point method (Gilbert
 1966; Wolfe 1976) certifies both answers: convex weights on at most five
 range points that average to the origin, or a separating direction of the
@@ -24,7 +25,7 @@ from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
-from .kronecker import _pencil_sample_nodes, _toeplitz_resultant, is_singular
+from .kronecker import _sweep_evidence, _toeplitz_resultant
 from .linalg import RANK_GUARD, det_zero_sweep, node_stack, rank_decision
 from .pencil import Pencil, as_matrix
 
@@ -191,31 +192,37 @@ def isotropic_search(
 def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> IsotropicCertificate:
     """Common isotropic vector of the coefficients of a singular pencil.
 
-    One determinant sweep gates the construction: when every determinant
-    sampled at the n + 1 nodes of :func:`~pencillab.kronecker.is_singular`
-    is negligible, :func:`_singular_certificate` walks the degrees
-    k = 0, 1, ..., n of the Toeplitz resultant and returns the first valid
-    vector built from a clean kernel of T_k.  A polynomial kernel vector
-    x(lam) with (A + lam B) x(lam) = 0 proves the pencil singular (Van
-    Dooren 1979), so no rank sweep runs on that path.  The full
-    two-channel :func:`~pencillab.kronecker.is_singular` decides only when
-    the determinants say regular or no degree gives a certificate: it
+    One determinant sweep over the nodes of
+    :func:`~pencillab.linalg.node_stack` gates the construction: when
+    every sampled determinant is negligible, :func:`_singular_certificate`
+    walks the degrees k = 0, 1, ..., n of the Toeplitz resultant and
+    returns the first valid vector built from a clean kernel of T_k.  A
+    polynomial kernel vector x(lam) with (A + lam B) x(lam) = 0 proves the
+    pencil singular (Van Dooren 1979), so no rank sweep runs on that path.
+    Only when the determinants say regular or no degree gives a
+    certificate does the rank channel of
+    :func:`~pencillab.kronecker.is_singular` run, on the gate's own stack
+    and determinant verdict, so the stack is built and factored once: it
     raises :class:`NotSingular` for a regular pencil and
-    :class:`TransformUnavailable` for a singular one (or its own
-    :class:`InconsistentSingularityEvidence`).  The gate keeps a regular
-    pencil from building every resultant up to T_n before it raises.
+    :class:`TransformUnavailable` for a singular one (or the sweep's own
+    :class:`InconsistentSingularityEvidence` or
+    :class:`RankDecisionUnstable`).  The gate keeps a regular pencil from
+    building every resultant up to T_n before it raises.
     """
     if not p.is_square:
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
-    failure = None
-    if p.rows and det_zero_sweep(*node_stack(p, _pencil_sample_nodes(p)), tol)[0]:
-        try:
-            return _singular_certificate(p, tol)
-        except TransformUnavailable as exc:
-            failure = exc
-    if not is_singular(p, tol):
-        raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
-    raise failure  # set: is_singular raises when its determinant channel says regular
+    if p.rows:
+        sweep = node_stack(p)
+        det = det_zero_sweep(*sweep[1:], tol)
+        failure = None
+        if det[0]:
+            try:
+                return _singular_certificate(p, tol)
+            except TransformUnavailable as exc:
+                failure = exc
+        if _sweep_evidence(sweep, det, tol):
+            raise failure  # set: the sweep raises when its determinant channel says regular
+    raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
 
 
 def _singular_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate:
@@ -341,11 +348,7 @@ def _atom(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((mats @ x) @ x.conj()).real
 
 
-def conv_hull_membership(
-    a,
-    b,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> ConvHullMembership:
+def conv_hull_membership(a, b) -> ConvHullMembership:
     """Decide whether the origin lies in the closed convex hull K of W(A, B).
 
     Wolfe's min-norm point (fully corrective Frank-Wolfe) in R^4, started
@@ -415,12 +418,12 @@ def conv_hull_membership(
     return ConvHullMembership("boundary", best, best_dir, scale, iterations=iteration)
 
 
-def pencil_nr_is_plane(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def pencil_nr_is_plane(a, b) -> bool:
     """Whether the numerical range of A + lam B covers the whole plane."""
-    return conv_hull_membership(a, b, tol).verdict in ("inside", "boundary")
+    return conv_hull_membership(a, b).verdict in ("inside", "boundary")
 
 
-def nr_contains(p: Pencil, lam0: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def nr_contains(p: Pencil, lam0: complex) -> bool:
     """Whether 0 lies in the (convex) numerical range of A + lam0 B.
 
     The numerical range of M = A + lam0 B is W(M, 0) read in its first two
@@ -430,7 +433,7 @@ def nr_contains(p: Pencil, lam0: complex, tol: ToleranceConfig = DEFAULT_TOL) ->
     if not p.is_square:
         raise ValueError(f"numerical range needs a square pencil, got {p.shape}")
     m = p.at(complex(lam0))
-    return conv_hull_membership(m, np.zeros_like(m), tol).verdict == "inside"
+    return conv_hull_membership(m, np.zeros_like(m)).verdict == "inside"
 
 
 def is_doubly_commuting(a, b, rel_tol: float = DOUBLY_COMMUTE_REL_TOL) -> bool:

@@ -46,7 +46,7 @@ def test_criterion_01_signed_diag_fixture():
         abs(g1 - e1) < 1e-8 and abs(g2 - e2) < 1e-8
         for (g1, g2), (e1, e2) in zip(got, expected)
     )
-    membership = pl.conv_hull_membership(a, b, TOL)
+    membership = pl.conv_hull_membership(a, b)
     cert = pl.isotropic_search(a, b, TOL, restarts=100)
     cert_ok = (
         cert is not None
@@ -153,7 +153,7 @@ def test_criterion_05_intertwiner_oracle_equality(catalog):
         d = pl.assemble(s)
         dim, basis = pl.intertwiner_space(d.a, d.b, TOL)
         count = pl.pattern_parameter_count(s)
-        conforms = all(pl.matches_pattern(m, s, TOL) for m in basis)
+        conforms = all(pl.matches_pattern(m, s) for m in basis)
         if dim != count or not conforms:
             bad.append((s, dim, count, conforms))
     ok = not bad and len(catalog) >= 30
@@ -220,7 +220,7 @@ def test_criterion_08_isotropic_chain():
             failures += 1
             continue
         methods[cert.method] += 1
-        if not cert.is_valid(p.a, p.b) or not pl.pencil_nr_is_plane(p.a, p.b, TOL):
+        if not cert.is_valid(p.a, p.b) or not pl.pencil_nr_is_plane(p.a, p.b):
             failures += 1
     ok = failures == 0
     _report("8 (isotropic chain)", ok, f"failures={failures}/500 methods={methods}")

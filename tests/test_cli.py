@@ -102,6 +102,19 @@ class TestAnalyze:
         assert out == ""
         assert "within a factor 10" in err
 
+    @pytest.mark.parametrize("t", [1e6, 1e9])
+    def test_deficiency_hidden_from_the_qr_diagonal_exit_one(self, tmp_path, capsys, t):
+        # A = B = [[1, t], [0, 2]] commute; the rank channel sees a deficiency
+        # the QR diagonal hides, which is an unstable decision, not a bug
+        skewed = tmp_path / "skewed.json"
+        entries = [[1, 0], [t, 0], [0, 0], [2, 0]]
+        matrix = {"rows": 2, "cols": 2, "entries": entries}
+        skewed.write_text(json.dumps({"a": matrix, "b": matrix}), encoding="utf-8")
+        code, out, err = run_cli(["analyze", str(skewed)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "QR diagonal" in err
+
     def test_syntax_error_positions(self, tmp_path, capsys):
         bad = tmp_path / "syntax.json"
         bad.write_text("{", encoding="utf-8")
@@ -230,6 +243,23 @@ class TestCampaign:
             "passed": 3, "failed": 0, "unstable": 2,
             "unstable_reasons": {"RankDecisionUnstable": 2},
         }
+
+    def test_replay_reruns_a_failed_instance(self, tmp_path, monkeypatch, capsys):
+        from pencillab import ToleranceConfig, cli
+
+        def check(rng, tol, index):
+            draw = int(rng.integers(2**62))
+            return {"ok": False, "pencil": None, "detail": {"draw": draw, "index": index}}
+
+        monkeypatch.setitem(cli._CHECKS, "dopico", check)
+        summary = cli.run_campaign("dopico", 2, ToleranceConfig(rng_seed=3), str(tmp_path))
+        path = summary["failure_artifacts"][1]
+        with open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+        code, out, _ = run_cli(["campaign", "--replay", path], capsys)
+        assert code == 2
+        replay = json.loads(out)
+        assert replay == {"check": "dopico", "index": 1, "ok": False, "detail": artifact["detail"]}
 
     def test_unknown_generator(self, capsys):
         code, _, err = run_cli(["campaign", "bogus", "--count", "1"], capsys)

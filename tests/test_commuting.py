@@ -17,6 +17,19 @@ def _pattern_draw(s, rng):
     return params[pattern.labels]
 
 
+def _loop_intertwiner_basis(a, b):
+    """The nullspace of the A M B - B M A operator assembled column by column."""
+    n = len(a)
+    op = np.zeros((n * n, n * n), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for idx in range(n * n):
+        i, j = divmod(idx, n)
+        unit[i, j] = 1.0
+        op[:, idx] = (a @ unit @ b - b @ unit @ a).reshape(-1)
+        unit[i, j] = 0.0
+    return pl.null_space(op)
+
+
 def _equality_families(limit):
     """Families (0, m0), (d1, m1), ... with d_i m_i = m0 + ... + m_(i-1).
 
@@ -71,6 +84,20 @@ class TestIntertwinerSpace:
     def test_dimension_bound_enforced(self):
         with pytest.raises(ValueError):
             pl.intertwiner_space(np.eye(13), np.eye(13))
+
+    def test_matches_the_column_by_column_operator(self, catalog, rng):
+        # the same products of 0/1 entries give the same bits on the catalog pencils
+        for s in catalog:
+            d = pl.assemble(s)
+            _, basis = pl.intertwiner_space(d.a, d.b)
+            reference = _loop_intertwiner_basis(d.a, d.b)
+            assert np.array_equal(np.array(basis).reshape(len(basis), -1).T, reference), s
+        a, b = complex_matrix(rng, 12, 12), complex_matrix(rng, 12, 12)
+        _, basis = pl.intertwiner_space(a, b)
+        reference = _loop_intertwiner_basis(a, b)
+        got = np.array(basis).reshape(len(basis), -1).T
+        assert got.shape == reference.shape
+        np.testing.assert_allclose(got @ got.conj().T, reference @ reference.conj().T, atol=1e-12)
 
     def test_four_by_four_matches_pattern_count(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
@@ -294,7 +321,7 @@ class TestMultiplier:
 
 
 class TestSearchMultiplier:
-    def test_feasible_catalog_cases_found(self, catalog, tol):
+    def test_feasible_catalog_cases_found(self, catalog):
         hits = 0
         for s in catalog:
             ks = s
@@ -302,7 +329,7 @@ class TestSearchMultiplier:
             if not ok or s.rows > 10:
                 continue
             p = pl.assemble(ks)
-            result = pl.search_multiplier(p, tol, seed=5, restarts=60)
+            result = pl.search_multiplier(p, pl.ToleranceConfig(rng_seed=5), restarts=60)
             assert result.evidence == "conjecture-level evidence"
             if result.found:
                 hits += 1
@@ -312,9 +339,9 @@ class TestSearchMultiplier:
                 assert np.linalg.norm(ea @ eb - eb @ ea) <= 1e-7 * scale
         assert hits > 0
 
-    def test_infeasible_structure_not_found(self, tol):
+    def test_infeasible_structure_not_found(self):
         s = pl.KroneckerStructure(row_minimal=[(1, 1)], col_minimal=[(1, 1)])
         p = pl.assemble(s)
-        result = pl.search_multiplier(p, tol, seed=5, restarts=40)
+        result = pl.search_multiplier(p, pl.ToleranceConfig(rng_seed=5), restarts=40)
         assert not result.found
         assert result.evidence == "conjecture-level evidence"

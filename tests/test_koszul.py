@@ -125,9 +125,9 @@ def test_each_public_call_validates_the_pair_once(monkeypatch, call):
     calls = []
     require = koszul._require_commuting
 
-    def counted(a, b, tol):
+    def counted(a, b):
         calls.append((a, b))
-        return require(a, b, tol)
+        return require(a, b)
 
     monkeypatch.setattr(koszul, "_require_commuting", counted)
     call(np.diag([1.0, 2.0, 4.0]), np.diag([3.0, 1.0, 2.0]))
@@ -648,16 +648,17 @@ class TestConditionMatrix:
         assert report.certificate is not None
 
     def test_singular_pair_sweeps_once(self, monkeypatch):
-        from pencillab import koszul, numrange
+        from pencillab import kronecker, numrange
 
         calls = []
+        evidence = kronecker._sweep_evidence
 
-        def counted(p, tol=pl.DEFAULT_TOL):
-            calls.append(p)
-            return pl.is_singular(p, tol)
+        def counted(sweep, det, tol):
+            calls.append(sweep)
+            return evidence(sweep, det, tol)
 
-        monkeypatch.setattr(koszul, "is_singular", counted)
-        monkeypatch.setattr(numrange, "is_singular", counted)
+        monkeypatch.setattr(kronecker, "_sweep_evidence", counted)
+        monkeypatch.setattr(numrange, "_sweep_evidence", counted)
         assert pl.condition_matrix(np.zeros((2, 2)), np.zeros((2, 2))).pencil_singular
         assert len(calls) == 1
 
@@ -711,12 +712,12 @@ class TestShiftPairs:
         ts = pl.taylor_spectrum(a, b)
         np.testing.assert_allclose(by_coords(ts.points), [(0.0, 1.0), (1.0, 0.0)], atol=1e-12)
 
-    def test_n2_determinant_profile(self, tol):
+    def test_n2_determinant_profile(self):
         from pencillab.linalg import pencil_determinant_coefficients
 
         a, b = pl.shift_truncation_pair(2)
         p = pl.Pencil(a, b)
-        coeffs = pencil_determinant_coefficients(p, tol) * p.norm_scale() ** 4
+        coeffs = pencil_determinant_coefficients(p) * p.norm_scale() ** 4
         np.testing.assert_allclose(coeffs, [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 3, 8])

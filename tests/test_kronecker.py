@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pencillab as pl
-from pencillab.linalg import det_sample_nodes
+from pencillab.linalg import node_stack
 
 from conftest import REPO, complex_matrix
 
@@ -207,6 +207,21 @@ class TestSingularity:
         with pytest.raises(pl.RankDecisionUnstable):
             pl.is_singular(pl.Pencil(np.diag([1.0, 1e-9]), np.zeros((2, 2))), tol)
 
+    @pytest.mark.parametrize("t", [1e6, 1e9])
+    def test_deficiency_hidden_from_the_qr_diagonal(self, tol, t):
+        # A + lam A: sigma_min / sigma_1 ~ 2 / t^2 reads singular, while the
+        # unpivoted QR diagonal's ratio ~ 1 / t stays above det_zero_tol
+        a = np.array([[1.0, t], [0.0, 2.0]])
+        with pytest.raises(pl.RankDecisionUnstable, match="QR diagonal"):
+            pl.is_singular(pl.Pencil(a, a), tol)
+
+    def test_determinant_singular_rank_regular_is_inconsistent(self):
+        # only a det_zero_tol above RANK_GUARD * rank_rel_tol * n lets the
+        # QR diagonal read a zero where the rank channel sees full rank
+        p = pl.Pencil(np.diag([1.0, 1e-3]), np.zeros((2, 2)))
+        with pytest.raises(pl.InconsistentSingularityEvidence):
+            pl.is_singular(p, pl.ToleranceConfig(det_zero_tol=1e-2))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_node_on_eigenvalue(self, tol, seed):
         # A = cB here, so the node circle has radius |c| and one node lands
@@ -236,7 +251,7 @@ class TestSingularity:
         rng = np.random.default_rng(1201)
         for n in range(1, 25):
             p, lam = _on_node_pencil(n, (n, n), rng, turn)
-            nodes = det_sample_nodes(p, n + 1)
+            nodes = node_stack(p)[0]
             assert np.abs(nodes[:n] - lam).max() <= (turn + 1e-12) * abs(lam[0])
             verdict = pl.is_singular(p, tol)
             assert not verdict and verdict.normal_rank == n and verdict.node_count == n + 1
@@ -250,7 +265,7 @@ class TestSingularity:
         rng = np.random.default_rng(1204)
         for n in range(2, 25):
             p, lam = _on_node_pencil(n - 1, (n, n), rng)
-            assert np.abs(det_sample_nodes(p, n + 1)[: n - 1] - lam).max() <= 1e-12 * abs(lam[0])
+            assert np.abs(node_stack(p)[0][: n - 1] - lam).max() <= 1e-12 * abs(lam[0])
             verdict = pl.is_singular(p, tol)
             assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
             assert verdict.normal_rank == n - 1 and verdict.node_count == n + 1
@@ -288,7 +303,7 @@ class TestNormalRank:
         rng = np.random.default_rng(1202)
         for m in range(1, 13):
             p, lam = _on_node_pencil(m, (m, m + 1), rng)
-            assert np.abs(det_sample_nodes(p, m + 2)[:m] - lam).max() <= 1e-12 * abs(lam[0])
+            assert np.abs(node_stack(p)[0][:m] - lam).max() <= 1e-12 * abs(lam[0])
             assert pl.normal_rank(p, tol)[0] == m
 
     def test_square_deficiency_matches_singularity(self):

@@ -144,14 +144,34 @@ class TestIsotropicFromSingular:
             pl.isotropic_from_singular(p, tol)
         assert built == []
 
+    def test_regular_pencil_factors_its_sweep_once(self, monkeypatch, tol):
+        # the rank channel reads the gate's own stack: one batched QR, one batched SVD
+        calls = []
+
+        def spy(name):
+            kernel = getattr(np.linalg, name)
+
+            def counted(m, *args, **kwargs):
+                calls.append((name, np.shape(m)))
+                return kernel(m, *args, **kwargs)
+            return counted
+
+        rng = np.random.default_rng(16)
+        p = pl.Pencil(complex_matrix(rng, 16, 16), complex_matrix(rng, 16, 16))
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        with pytest.raises(pl.NotSingular):
+            pl.isotropic_from_singular(p, tol)
+        assert calls == [("qr", (17, 16, 16)), ("svd", (17, 16, 16))]
+
     def test_singular_pencil_runs_no_singularity_sweep(self, monkeypatch, tol):
         # the resultant kernel proves singularity; the two-channel sweep never runs
         from pencillab import numrange
 
-        def refuse(p, tol=tol):
-            raise AssertionError("is_singular ran on a singular pencil")
+        def refuse(sweep, det, tol):
+            raise AssertionError("the singularity sweep ran on a singular pencil")
 
-        monkeypatch.setattr(numrange, "is_singular", refuse)
+        monkeypatch.setattr(numrange, "_sweep_evidence", refuse)
         rng = np.random.default_rng(30)
         for _ in range(20):
             p, _ = random_singular_pencil(rng, max_size=10)
@@ -225,7 +245,7 @@ class TestIsotropicFromSingular:
             p, _ = random_singular_pencil(rng, max_size=9)
             cert = pl.isotropic_from_singular(p, tol)
             assert cert.is_valid(p.a, p.b)
-            assert pl.pencil_nr_is_plane(p.a, p.b, tol)
+            assert pl.pencil_nr_is_plane(p.a, p.b)
 
 
 class TestConvHull:
@@ -358,14 +378,14 @@ class TestNrContains:
         p = pl.Pencil(np.diag([1.0, -1.0]), np.diag([2.0, -2.0]))
         assert pl.nr_contains(p, -0.5)
 
-    def test_plane_range_contains_everywhere(self, tol):
+    def test_plane_range_contains_everywhere(self):
         s = pl.KroneckerStructure(row_minimal=[(0, 1), (1, 1)], col_minimal=[(0, 1), (1, 1)])
         p, _ = pl.scramble(pl.assemble(s), seed=23)
-        assert pl.pencil_nr_is_plane(p.a, p.b, tol)
+        assert pl.pencil_nr_is_plane(p.a, p.b)
         grid = np.linspace(-2, 2, 5)
         for re in grid:
             for im in grid:
-                assert pl.nr_contains(p, complex(re, im), tol)
+                assert pl.nr_contains(p, complex(re, im))
 
     def test_normal_matrix_agrees_with_eigenvalue_hull(self):
         # the numerical range of a normal matrix is the hull of its eigenvalues
@@ -447,7 +467,7 @@ class TestDoublyCommuting:
             # a normal matrix with distinct eigenvalues has a unitary Schur basis
             _, q = schur(a + np.pi * b, output="complex")
             joint = (np.diag(q.conj().T @ a @ q), np.diag(q.conj().T @ b @ q))
-            res = pl.conv_hull_membership(a, b, tol)
+            res = pl.conv_hull_membership(a, b)
             if _hull_feasible(joint):
                 assert res.verdict == "inside"
                 cert = pl.isotropic_search(a, b, tol, restarts=2000)
