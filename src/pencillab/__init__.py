@@ -7,7 +7,6 @@ from .errors import (
     DecompositionError,
     EqualityConditionFails,
     ImplicationViolated,
-    InconsistentSingularityEvidence,
     InvalidMatrix,
     InvalidStructure,
     NotCommuting,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import os
 import sys
@@ -21,13 +22,7 @@ import numpy as np
 from . import io as plio
 from .commuting import commuting_feasible, verify_necessity
 from .config import ToleranceConfig
-from .errors import (
-    ImplicationViolated,
-    InconsistentSingularityEvidence,
-    OracleDisagreement,
-    PencilLabError,
-    RankDecisionUnstable,
-)
+from .errors import ImplicationViolated, OracleDisagreement, PencilLabError, RankDecisionUnstable
 from .generators import (STAIRCASE_SAFE_KINDS, random_commuting_pair,
                          random_singular_pencil, random_structure)
 from .koszul import (
@@ -48,16 +43,16 @@ from .pencil import Pencil
 ENV_SEED = "PENCILLAB_SEED"
 
 
+# the ToleranceConfig field that each tolerance or seed option sets, by argparse name
+_TOLERANCE_OPTIONS = {"tol_rank": "rank_rel_tol", "tol_det": "det_zero_tol",
+                      "tol_cluster": "eig_cluster_tol", "seed": "rng_seed"}
+
+
 def _tolerances(args) -> ToleranceConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    return ToleranceConfig(
-        rank_rel_tol=args.tol_rank,
-        det_zero_tol=args.tol_det,
-        eig_cluster_tol=args.tol_cluster,
-        rng_seed=seed,
-    )
+    settings = {"rng_seed": int(os.environ.get(ENV_SEED, "0"))}
+    settings.update((field, getattr(args, name)) for name, field in _TOLERANCE_OPTIONS.items()
+                    if getattr(args, name) is not None)
+    return ToleranceConfig(**settings)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -102,17 +97,19 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
     report["commuting_feasible"] = {"feasible": feasible, "violations": violations}
     if p.is_square:
         verdict = is_singular(p, tol) if conditions is None else conditions.singularity
+        kernel = verdict.kernel
         report["singular"] = {
             "verdict": bool(verdict),
-            "rank_verdict": verdict.rank_verdict,
-            "det_verdict": verdict.det_verdict,
-            "normal_rank": verdict.normal_rank,
+            "normal_rank": verdict.normal_rank,  # null unless the deciding node is clean
             # null when every singular value is exactly zero (unbounded margin)
             "rank_margin": verdict.rank_margin if np.isfinite(verdict.rank_margin) else None,
-            "max_det_ratio": verdict.max_det_ratio,
             "deciding_node": plio.complex_to_json(verdict.deciding_node),
             # null for the empty pencil, which has no node
             "sigma_min": verdict.sigma_min if np.isfinite(verdict.sigma_min) else None,
+            "regularity_bound": None if verdict or not p.rows else verdict.sigma_min,
+            # the polynomial kernel vector that proves a singular verdict
+            "kernel_degree": kernel and kernel.degree,
+            "kernel_residual": kernel and kernel.residual,
         }
         report["coefficients_commute"] = commuting is not None
         if conditions is not None:
@@ -143,7 +140,7 @@ def cmd_analyze(args) -> int:
         return 1
     try:
         report = analyze_pencil(p, tol)
-    except (ImplicationViolated, OracleDisagreement, InconsistentSingularityEvidence) as exc:
+    except (ImplicationViolated, OracleDisagreement) as exc:
         sys.stderr.write(f"computation violated a guaranteed property: {exc}\n")
         return 2
     except PencilLabError as exc:
@@ -250,7 +247,7 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
             rng = campaign_rng(tol.rng_seed, name, index)
             try:
                 outcome = check(rng, tol, index)
-            except (RankDecisionUnstable, InconsistentSingularityEvidence) as exc:
+            except RankDecisionUnstable as exc:
                 stats["unstable"] += 1
                 reasons = stats.setdefault("unstable_reasons", {})
                 reasons[type(exc).__name__] = reasons.get(type(exc).__name__, 0) + 1
@@ -301,8 +298,13 @@ def replay_artifact(path: str, tol_override: ToleranceConfig | None = None) -> d
 
 
 def cmd_campaign(args) -> int:
-    tol = _tolerances(args)
     if args.replay:
+        given = ["--" + name.replace("_", "-") for name in _TOLERANCE_OPTIONS
+                 if getattr(args, name) is not None]
+        if given:
+            sys.stderr.write(f"error: --replay runs at the artifact's tolerances and seed; "
+                             f"drop {', '.join(given)}\n")
+            return 1
         try:
             result = replay_artifact(args.replay)
         except (OracleDisagreement, ImplicationViolated) as exc:
@@ -316,7 +318,7 @@ def cmd_campaign(args) -> int:
             f"{', '.join(list(_CHECKS) + ['all'])}\n"
         )
         return 1
-    summary = run_campaign(args.generator, args.count, tol, args.failure_dir)
+    summary = run_campaign(args.generator, args.count, _tolerances(args), args.failure_dir)
     _emit(plio.dumps(summary), args.out)
     failed = sum(stats["failed"] for stats in summary["results"].values())
     return 2 if failed else 0
@@ -413,11 +415,12 @@ def cmd_shift_experiment(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=float, default=1e-10,
+    # unset options take the ToleranceConfig defaults
+    parser.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
-    parser.add_argument("--tol-det", type=float, default=1e-9,
+    parser.add_argument("--tol-det", type=float, default=None,
                         help="determinant-zero cutoff (default 1e-9)")
-    parser.add_argument("--tol-cluster", type=float, default=1e-8,
+    parser.add_argument("--tol-cluster", type=float, default=None,
                         help="eigenvalue comparison tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${ENV_SEED} or 0)")
@@ -459,8 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

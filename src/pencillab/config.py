@@ -26,7 +26,11 @@ class ToleranceConfig:
         Cutoff for a vanishing determinant at a sweep node lam: the
         determinant counts as zero when the smallest magnitude on the QR
         diagonal of A + lam B is below ``det_zero_tol * max(largest
-        magnitude on it, |A| + |lam| |B|)``.
+        magnitude on it, |A| + |lam| |B|)``.  It screens pencils in
+        ``pencil_eigenvalues`` and ``isotropic_from_singular`` and bounds
+        the determinant identity of ``spectrum_via_singularity``.  It does
+        not decide singularity: ``is_singular`` reads that off the
+        smallest singular values against ``rank_rel_tol``.
     eig_cluster_tol
         Relative tolerance for comparing two given spectrum points
         (``structures_match`` allows 100 times it).  It sets no

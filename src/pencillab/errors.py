@@ -41,15 +41,6 @@ class RankDecisionUnstable(PencilLabError):
         self.threshold = threshold
 
 
-class InconsistentSingularityEvidence(PencilLabError):
-    """The rank-based and determinant-based singularity verdicts disagree."""
-
-    def __init__(self, message, rank_verdict=None, det_verdict=None):
-        super().__init__(message)
-        self.rank_verdict = rank_verdict
-        self.det_verdict = det_verdict
-
-
 class NotCommuting(PencilLabError):
     """Operation requires a commuting pair of matrices."""
 

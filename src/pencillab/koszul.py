@@ -347,8 +347,10 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     For matrices every implication checked here is a theorem; a failed one
     signals a numerical or logic bug and raises
     :class:`ImplicationViolated`.  Condition (ii) is reported as true only
-    when an isotropic certificate was actually found.  A valid separation
-    certificate of the hull proves (ii) false, so no search runs then.
+    when an isotropic certificate was actually found: on a singular pencil
+    it is built from the polynomial kernel vector that proved (i), so one
+    kernel walk serves both.  A valid separation certificate of the hull
+    proves (ii) false, so no search runs then.
     """
     from . import numrange
 
@@ -363,7 +365,7 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
 
     certificate = None
     if cond_i:
-        certificate = numrange._singular_certificate(p, tol)
+        certificate = numrange._singular_certificate(p, tol, singularity.kernel)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
         certificate = numrange.isotropic_search(a, b, tol)
     cond_ii = certificate is not None and certificate.is_valid(a, b)

@@ -15,24 +15,20 @@ canonical form from minimal polynomial bases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import (
-    InconsistentSingularityEvidence,
-    InvalidStructure,
-    RankDecisionUnstable,
-    TransformUnavailable,
-)
+from .errors import InvalidStructure, RankDecisionUnstable, TransformUnavailable
 from .linalg import (
     RANK_GUARD,
-    det_zero_sweep,
     disc_clusters,
     eigenvalue_discs,
     node_stack,
     numerical_rank,
+    rank_cutoff,
     rank_decision,
     singular_values,
     svd,
@@ -297,53 +293,80 @@ def normal_rank(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, flo
     """Normal rank of A + lam B and the rank margin at the node deciding it."""
     if p.a.size == 0:
         return 0, float("inf")
-    return _rank_sweep(*node_stack(p)[1:], tol)[:2]
-
-
-def _rank_sweep(
-    stack: np.ndarray, anchors: np.ndarray, tol: ToleranceConfig
-) -> tuple[int, float, int, float]:
-    """Largest clean rank over a :func:`~pencillab.linalg.node_stack`, and its deciding node.
-
-    One batched SVD serves every node.  Nodes whose margin lies within
-    ``RANK_GUARD`` are skipped; :class:`RankDecisionUnstable` is raised
-    only when no node decides cleanly.  Returns (rank, margin, index and
-    smallest singular value of the node with that rank and the widest
-    margin).
-    """
-    sigma = singular_values(stack)
-    ranks, cutoffs, margins = rank_decision(sigma, stack.shape[1:], anchors, tol)
-    clean = margins > RANK_GUARD
-    if not clean.any():
+    _, stack, anchors = node_stack(p)
+    ranks, cutoffs, margins = rank_decision(singular_values(stack), stack.shape[1:], anchors, tol)
+    k = _rank_node(ranks, margins)
+    if k is None:
         k = int(np.argmax(margins))
         raise RankDecisionUnstable(
             f"normal rank sweep: every node has a singular value within a factor {RANK_GUARD:g} "
             f"of its cutoff; the best margin is {margins[k]:.3g} at cutoff {cutoffs[k]:.3e}",
             threshold=float(cutoffs[k]),
         )
-    r = ranks[clean].max()
-    k = int(np.argmax(np.where(clean & (ranks == r), margins, 0.0)))
-    return int(r), float(margins[k]), k, float(sigma[k, -1])
+    return int(ranks[k]), float(margins[k])
+
+
+def _rank_node(ranks: np.ndarray, margins: np.ndarray) -> int | None:
+    """The clean node (margin above ``RANK_GUARD``) of largest rank and widest margin, or None."""
+    clean = margins > RANK_GUARD
+    if not clean.any():
+        return None
+    return int(np.argmax(np.where(clean & (ranks == ranks[clean].max()), margins, 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # polynomial kernel vectors
 
 
-def _toeplitz_resultant(p: Pencil, k: int) -> np.ndarray:
+def _toeplitz_resultant(p: Pencil, k: int, rho: float = 1.0) -> np.ndarray:
     """Coefficient matrix of degree-k polynomial kernel vectors.
 
     x(lam) = x_0 + ... + x_k lam^k solves (A + lam B) x(lam) = 0 exactly
     when the stacked convolution system with A on the diagonal and B
     shifted below (plus the trailing B x_k = 0 row) annihilates the
-    coefficient stack.
+    coefficient stack.  The B blocks are scaled by ``rho``: that of the pencil A + w (rho B).
     """
     m, n = p.shape
     t = np.zeros(((k + 2) * m, (k + 1) * n), dtype=complex)
     for j in range(k + 1):
         t[j * m : (j + 1) * m, j * n : (j + 1) * n] = p.a
-        t[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = p.b
+        t[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = rho * p.b
     return t
+
+
+@dataclass(frozen=True)
+class PolynomialKernel:
+    """A kernel vector x(w) = x_0 + ... + x_k w^k of A + w (rho B), w = lam / rho.
+
+    ``coefficients`` stacks x_0, ..., x_k into a unit vector x of the
+    degree-k Toeplitz resultant T_k of (A, rho B), ``residual`` is |T_k x|
+    and ``margin`` the factor by which sigma_min(T_k) lies below T_k's rank
+    cutoff.  It proves the pencil singular (Van Dooren 1979).
+    """
+
+    degree: int
+    coefficients: np.ndarray
+    residual: float
+    margin: float
+
+
+def _kernel_walk(p: Pencil, tol: ToleranceConfig, start: int = 0):
+    """The polynomial kernel vectors of a pencil, one per degree k = start, ..., n that has one.
+
+    T_k has one, its last right singular vector, when sigma_min(T_k) lies
+    below the rank cutoff, anchored at the balanced pencil's scale, by more
+    than ``RANK_GUARD``.  From start = 0, the first is of the least column
+    minimal index.
+    """
+    rho, scale = p.rho, max(p.norms[0], p.rho * p.norms[1])
+    for k in range(start, p.cols + 1):
+        t = _toeplitz_resultant(p, k, rho)
+        _, sigma, vh = np.linalg.svd(t, full_matrices=False)
+        ratio = sigma[-1] / max(rank_cutoff(sigma[0], t.shape, scale, tol), np.finfo(float).tiny)
+        if ratio * RANK_GUARD < 1.0:
+            x = vh[-1].conj()
+            yield PolynomialKernel(k, x, float(np.linalg.norm(t @ x)),
+                                   1.0 / ratio if ratio else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -496,98 +519,76 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
 
 @dataclass(frozen=True)
 class SingularityEvidence:
-    """Two-channel singularity verdict for a square pencil.
+    """Singularity verdict of a square pencil, with the node lam* and sigma_min(A + lam* B).
 
-    ``deciding_node`` is the node lam* that decided the normal rank and
-    ``sigma_min`` the smallest singular value of A + lam* B; on a regular
-    verdict it is an invertible point, which proves regularity.
+    Regular: lam* has the widest sigma_min-to-cutoff factor, and sigma_min
+    bounds regularity: any (E, F) with |E|_2 + |lam*| |F|_2 < sigma_min
+    keeps A + E + lam* (B + F) invertible (Byers, He & Mehrmann 1998).
+    Singular: ``kernel`` proves it; lam* is the clean node of the largest
+    rank, else the widest factor.  ``normal_rank`` is the rank at lam* if
+    its singular values all clear the cutoff by more than ``RANK_GUARD``
+    (None otherwise), and ``rank_margin`` that factor.
     """
 
     singular: bool
-    rank_verdict: bool
-    det_verdict: bool
-    normal_rank: int
-    rank_margin: float  # cutoff-to-nearest-singular-value factor at the deciding node
+    normal_rank: int | None
+    rank_margin: float
     dimension: int
-    max_det_ratio: float
     node_count: int
     deciding_node: complex
     sigma_min: float
+    kernel: PolynomialKernel | None = None
 
     def __bool__(self) -> bool:
         return self.singular
 
 
 def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvidence:
-    """Decide whether det(A + lam B) vanishes identically.
+    """Decide whether det(A + lam B) vanishes identically, with a certificate either way.
 
-    Two independent decision channels read one node stack
-    (:func:`~pencillab.linalg.node_stack`) and must agree
-    (:func:`_sweep_evidence`): rank deficiency of A + lam B across the
-    whole sweep (:func:`normal_rank`, the staircase's minimal-block
-    witness) and negligibility of every sampled determinant (QR diagonal,
-    :func:`~pencillab.linalg.det_zero_sweep`).  A sweep without one clean
-    node raises :class:`RankDecisionUnstable`.
-
-    n + 1 distinct nodes decide an n x n pencil: a regular pencil's
-    determinant is a nonzero polynomial of degree at most n, so at most n
-    nodes can sit on its eigenvalues and at least one node has full rank
-    and a nonzero determinant, while a singular pencil loses rank at every
-    node (Van Dooren, LAA 1979).
+    One values-only batched SVD of :func:`~pencillab.linalg.node_stack`
+    reads sigma_n at each node against its rank cutoff
+    (:func:`_sweep_verdict`): regular when some node has sigma_n above
+    ``RANK_GUARD`` times the cutoff, singular when every node has sigma_n
+    below the cutoff over ``RANK_GUARD`` and :func:`_kernel_walk` finds a
+    polynomial kernel vector, :class:`RankDecisionUnstable` otherwise.
+    n + 1 nodes decide: a regular pencil's determinant has degree at most
+    n, so some node has full rank, while a singular pencil loses rank at
+    every node and has a kernel vector of degree below n (Van Dooren 1979).
     """
     if not p.is_square:
         raise ValueError(f"singularity is defined for square pencils, got {p.shape}")
     if not p.rows:
-        return SingularityEvidence(False, False, False, 0, float("inf"), 0, 0.0, 0, 0j,
-                                   float("inf"))
-    sweep = node_stack(p)
-    return _sweep_evidence(sweep, det_zero_sweep(*sweep[1:], tol), tol)
+        return SingularityEvidence(False, 0, float("inf"), 0, 0, 0j, float("inf"))
+    return _sweep_verdict(p, node_stack(p), tol)
 
 
-def _sweep_evidence(sweep, det, tol: ToleranceConfig) -> SingularityEvidence:
-    """Both channels' verdicts over one node sweep of a square pencil, which must agree.
-
-    ``sweep`` is the (nodes, stack, anchors) of
-    :func:`~pencillab.linalg.node_stack` and ``det`` the determinant
-    channel's (verdict, largest ratio) from
-    :func:`~pencillab.linalg.det_zero_sweep` on it; the rank channel is
-    :func:`_rank_sweep` of the same stack.  Since sigma_min <= min |r_kk|
-    and max |r_kk| <= sigma_1, a node of clean full rank has a diagonal
-    ratio above ``RANK_GUARD * rank_rel_tol * n``, so while ``det_zero_tol``
-    is at most that, a singular determinant verdict against a regular rank
-    verdict is a fault and raises :class:`InconsistentSingularityEvidence`.
-    The other way round, the unpivoted QR diagonal hides a rank deficiency
-    that the SVD sees (A = B = [[1, t], [0, 2]] with t = 1e6 reads
-    sigma_min / sigma_1 ~ 2 / t^2 but a diagonal ratio ~ 1 / t), which is
-    :class:`RankDecisionUnstable`.
-    """
+def _sweep_verdict(p: Pencil, sweep, tol: ToleranceConfig) -> SingularityEvidence:
+    """The verdict of :func:`is_singular` on a (nodes, stack, anchors) sweep of a square pencil."""
     nodes, stack, anchors = sweep
-    det_verdict, worst_ratio = det
-    n = stack.shape[-1]
-    r, margin, k, sigma_min = _rank_sweep(stack, anchors, tol)
-    rank_verdict = r < n
-    detail = f"normal rank {r}/{n}, max diagonal ratio {worst_ratio:.3e}"
-    if det_verdict and not rank_verdict:
-        raise InconsistentSingularityEvidence(
-            f"rank sweep says regular but determinant sweep says singular ({detail})",
-            rank_verdict=rank_verdict,
-            det_verdict=det_verdict,
-        )
-    if rank_verdict and not det_verdict:
+    n = p.rows
+    sigma = singular_values(stack)
+    cutoffs = rank_cutoff(sigma[:, 0], (n, n), anchors, tol)
+    ratios = sigma[:, -1] / np.maximum(cutoffs, np.finfo(float).tiny)
+    k = int(np.argmax(ratios))
+    if ratios[k] > RANK_GUARD:  # every singular value at lam* clears the cutoff by ratios[k]
+        return SingularityEvidence(False, n, float(ratios[k]), n, len(nodes), complex(nodes[k]),
+                                   float(sigma[k, -1]))
+    if ratios[k] * RANK_GUARD >= 1.0:
+        raise RankDecisionUnstable(f"singularity sweep: the largest sigma_n, {sigma[k, -1]:.3e}, "
+                                   f"lies within a factor {RANK_GUARD:g} of its cutoff "
+                                   f"{cutoffs[k]:.3e}", sigma=float(sigma[k, -1]),
+                                   threshold=float(cutoffs[k]))
+    kernel = next(_kernel_walk(p, tol), None)
+    if kernel is None:
         raise RankDecisionUnstable(
-            f"rank sweep says singular but the QR diagonal does not reveal it ({detail})")
-    return SingularityEvidence(
-        singular=rank_verdict,
-        rank_verdict=rank_verdict,
-        det_verdict=det_verdict,
-        normal_rank=r,
-        rank_margin=margin,
-        dimension=n,
-        max_det_ratio=worst_ratio,
-        node_count=len(nodes),
-        deciding_node=complex(nodes[k]),
-        sigma_min=sigma_min,
-    )
+            f"singularity sweep: sigma_n is negligible at every node, but no Toeplitz resultant "
+            f"of degree <= {n} has sigma_min below its cutoff by a factor {RANK_GUARD:g}")
+    ranks, _, margins = rank_decision(sigma, (n, n), anchors, tol)
+    clean = _rank_node(ranks, margins)
+    k = k if clean is None else clean
+    return SingularityEvidence(True, None if clean is None else int(ranks[k]), float(margins[k]),
+                               n, len(nodes), complex(nodes[k]), float(sigma[k, -1]), kernel)
 
 
 # ---------------------------------------------------------------------------

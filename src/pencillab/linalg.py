@@ -11,7 +11,9 @@ relative cutoff).  A singular value within a factor ``RANK_GUARD`` = 10 of
 the cutoff makes the decision untrustworthy; callers that must be sure
 raise or skip on it.  Every pencil sweep takes its nodes from
 :func:`node_stack`, which places max(rows, cols) + 1 of them on one circle
-and anchors node lam at |A| + |lam| |B|; determinant-zero decisions
+and anchors node lam at |A| + |lam| |B|.  Singularity is decided on the
+smallest singular value at each node
+(:func:`~pencillab.kronecker.is_singular`); the determinant-zero screens
 compare the QR diagonal with ``det_zero_tol`` against the same anchor
 (:func:`det_zero_sweep`).  Every
 eigenvalue cluster with its multiplicity comes from
@@ -112,18 +114,23 @@ def rank_decision(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig
     """
     sigma = np.abs(np.asarray(sigma, dtype=float))
     if sigma.ndim == 1:
-        cutoff = tol.rank_rel_tol * max(float(sigma.max(initial=0.0)), scale) * max(shape)
+        cutoff = float(rank_cutoff(float(sigma.max(initial=0.0)), shape, scale, tol))
         closeness = np.minimum(sigma, cutoff) / np.maximum(np.maximum(sigma, cutoff),
                                                            np.finfo(float).tiny)
         nearest = float(closeness.max(initial=0.0))
         margin = 1.0 / nearest if nearest else math.inf
         return int(np.count_nonzero(sigma > cutoff)), cutoff, margin
-    cutoff = tol.rank_rel_tol * np.maximum(sigma.max(axis=-1, initial=0.0), scale) * max(shape)
+    cutoff = rank_cutoff(sigma.max(axis=-1, initial=0.0), shape, scale, tol)
     cut = cutoff[..., None]
     closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), np.finfo(float).tiny)
     with np.errstate(divide="ignore"):
         margin = 1.0 / closeness.max(axis=-1, initial=0.0)
     return np.count_nonzero(sigma > cut, axis=-1), cutoff, margin
+
+
+def rank_cutoff(sigma_1, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig = DEFAULT_TOL):
+    """The cutoff of :func:`rank_decision` for the largest singular value(s) ``sigma_1``."""
+    return tol.rank_rel_tol * np.maximum(sigma_1, scale) * max(shape)
 
 
 def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0) -> int:
@@ -334,18 +341,18 @@ def node_stack(p: Pencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, stack, p.norms[0] + np.abs(nodes) * p.norms[1]
 
 
-def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> tuple[bool, float]:
-    """Determinant-channel singularity verdict over a :func:`node_stack`.
+def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> bool:
+    """Determinant-zero screen over a :func:`node_stack`.
 
     |det| is the product of the QR diagonal's magnitudes |r_kk|, so the
     smallest |r_kk| against max(largest |r_kk|, node anchor) witnesses a
     zero.  One batched QR serves every node; the diagonal of its ``"raw"``
-    form is that of R.  Returns (every ratio below ``det_zero_tol``, largest ratio).
+    form is that of R.  Returns whether every ratio lies below ``det_zero_tol``.
     """
     diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="raw")[0], axis1=-2, axis2=-1))
     top = np.maximum(diagonal.max(axis=-1), anchors)
     ratios = diagonal.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
-    return bool(np.all(ratios < tol.det_zero_tol)), float(ratios.max())
+    return bool(np.all(ratios < tol.det_zero_tol))
 
 
 def pencil_determinant_coefficients(p: Pencil) -> np.ndarray:
@@ -376,8 +383,7 @@ def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Spectru
     n = p.rows
     if n == 0:
         return SpectrumList((), ())
-    all_zero, _ = det_zero_sweep(*node_stack(p)[1:], tol)
-    if all_zero:
+    if det_zero_sweep(*node_stack(p)[1:], tol):
         raise SingularPencil(
             "all sampled determinants are negligible; the pencil appears singular"
         )

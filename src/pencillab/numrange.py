@@ -5,8 +5,8 @@ certified constructively for singular pencils, from a least-degree
 polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
 regular pairs only by randomized local search.  A singular pencil needs
 no separate singularity sweep: once every sampled determinant is
-negligible, the clean kernel of the Toeplitz resultant that yields the
-vector proves singularity itself.  The rank channel of
+negligible, the polynomial kernel vector that yields the vector proves
+singularity itself.  The sigma_n verdict of
 :func:`~pencillab.kronecker.is_singular` runs only when no such kernel
 is found, on the stack the determinants were read from, so no second
 sweep is built or factored.  Absence is claimed only
@@ -19,14 +19,15 @@ four-matrix Hermitian combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
-from .kronecker import _sweep_evidence, _toeplitz_resultant
-from .linalg import RANK_GUARD, det_zero_sweep, node_stack, rank_decision
+from .kronecker import PolynomialKernel, _kernel_walk, _sweep_verdict
+from .linalg import det_zero_sweep, node_stack
 from .pencil import Pencil, as_matrix
 
 CERT_REL_TOL = 1e-8
@@ -70,9 +71,9 @@ class IsotropicCertificate:
     from :func:`isotropic_from_singular`, and ``"random-search"`` only from
     :func:`isotropic_search`.  A constructed vector also records the
     ``degree`` k of the Toeplitz resultant T_k whose kernel proved the
-    pencil singular and that kernel's ``rank_margin`` (the factor between
-    the rank cutoff and the nearest singular value of T_k); both are None
-    for a searched vector.
+    pencil singular and that kernel's ``rank_margin`` (the factor by which
+    sigma_min(T_k) lies below the rank cutoff); both are None for a
+    searched vector.
     """
 
     vector: np.ndarray
@@ -192,75 +193,60 @@ def isotropic_search(
 def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> IsotropicCertificate:
     """Common isotropic vector of the coefficients of a singular pencil.
 
-    One determinant sweep over the nodes of
-    :func:`~pencillab.linalg.node_stack` gates the construction: when
-    every sampled determinant is negligible, :func:`_singular_certificate`
-    walks the degrees k = 0, 1, ..., n of the Toeplitz resultant and
-    returns the first valid vector built from a clean kernel of T_k.  A
-    polynomial kernel vector x(lam) with (A + lam B) x(lam) = 0 proves the
-    pencil singular (Van Dooren 1979), so no rank sweep runs on that path.
-    Only when the determinants say regular or no degree gives a
-    certificate does the rank channel of
-    :func:`~pencillab.kronecker.is_singular` run, on the gate's own stack
-    and determinant verdict, so the stack is built and factored once: it
-    raises :class:`NotSingular` for a regular pencil and
-    :class:`TransformUnavailable` for a singular one (or the sweep's own
-    :class:`InconsistentSingularityEvidence` or
-    :class:`RankDecisionUnstable`).  The gate keeps a regular pencil from
-    building every resultant up to T_n before it raises.
+    A determinant screen over :func:`~pencillab.linalg.node_stack` comes
+    first: when every sampled determinant is negligible,
+    :func:`_singular_certificate` walks the polynomial kernel vectors, each
+    a proof of singularity (Van Dooren 1979), and returns the first valid
+    vector.  Otherwise the sigma_n verdict of
+    :func:`~pencillab.kronecker.is_singular` runs on the screen's own
+    stack, so the stack is built and factored once, and a regular pencil
+    builds no resultant: :class:`NotSingular` for a regular pencil, the
+    vector from the verdict's kernel for a singular one (or
+    :class:`TransformUnavailable`), or :class:`RankDecisionUnstable`.
     """
     if not p.is_square:
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
     if p.rows:
         sweep = node_stack(p)
-        det = det_zero_sweep(*sweep[1:], tol)
-        failure = None
-        if det[0]:
+        if det_zero_sweep(*sweep[1:], tol):
             try:
                 return _singular_certificate(p, tol)
-            except TransformUnavailable as exc:
-                failure = exc
-        if _sweep_evidence(sweep, det, tol):
-            raise failure  # set: the sweep raises when its determinant channel says regular
+            except TransformUnavailable:
+                pass
+        evidence = _sweep_verdict(p, sweep, tol)
+        if evidence:
+            return _singular_certificate(p, tol, evidence.kernel)
     raise NotSingular("pencil is not singular; no isotropic vector is guaranteed")
 
 
-def _singular_certificate(p: Pencil, tol: ToleranceConfig) -> IsotropicCertificate:
-    """Isotropic vector from the least-degree clean kernel of the Toeplitz resultant.
+def _singular_certificate(p: Pencil, tol: ToleranceConfig,
+                          kernel: PolynomialKernel | None = None) -> IsotropicCertificate:
+    """Isotropic vector from the least-degree polynomial kernel vector that gives a valid one.
 
-    For k = 0, 1, ..., n, the singular values of the degree-k resultant
-    T_k of the balanced pencil (A, rho B) decide its rank by
-    :func:`~pencillab.linalg.rank_decision`, anchored at the balanced
-    pencil's scale.  Only a kernel clear of the cutoff by more than
-    ``RANK_GUARD`` is used: then X = [x_0 ... x_k] is the smallest
-    singular vector of T_k, and x = X c with R* X c = 0 for
-    R = B [x_0 ... x_(k-1)]; the first valid x is returned.  At the least
-    column minimal index X is a minimal polynomial kernel vector, so A X
-    and B X lie in span R and x* A x = x* B x = 0.  Raises
-    :class:`TransformUnavailable` when no degree gives a valid vector.
+    The kernels are ``kernel`` and the walk's kernels of higher degree, or
+    the whole walk.  For a kernel X = [x_0 ... x_k] of degree k, x = X c
+    with R* X c = 0 for R = B [x_0 ... x_(k-1)]; the first valid x is
+    returned.  At the least column minimal index X is a minimal polynomial
+    kernel vector, so A X and B X lie in span R and x* A x = x* B x = 0.
+    Raises :class:`TransformUnavailable` when no kernel gives a valid vector.
     """
     a, b = p.a, p.b
     n = p.cols
-    q = p.balanced()[0]
-    scale = q.norm_scale()
-    for k in range(n + 1):
-        t = _toeplitz_resultant(q, k)
-        _, sigma, vh = np.linalg.svd(t)
-        rank, _, margin = rank_decision(sigma, t.shape, scale, tol)
-        if rank == t.shape[1] or margin <= RANK_GUARD:
-            continue
-        x_mat = vh[-1].conj().reshape(k + 1, n).T
+    walk = _kernel_walk(p, tol) if kernel is None else chain(
+        [kernel], _kernel_walk(p, tol, kernel.degree + 1))
+    for kernel in walk:
+        k = kernel.degree
+        x_mat = kernel.coefficients.reshape(k + 1, n).T
         if k == 0:
             x = x_mat[:, 0]
         else:
-            r = q.b @ x_mat[:, :k]
-            x = x_mat @ np.linalg.svd(r.conj().T @ x_mat)[2][-1].conj()
+            x = x_mat @ np.linalg.svd((b @ x_mat[:, :k]).conj().T @ x_mat)[2][-1].conj()
         cert = _certificate(a, b, x, "kernel" if k == 0 else "kronecker-constructive",
-                            degree=k, rank_margin=float(margin))
+                            degree=k, rank_margin=kernel.margin)
         if cert.is_valid(a, b):
             return cert
     raise TransformUnavailable(
-        f"no clean polynomial kernel vector of degree <= {n} gives a valid isotropic certificate"
+        f"no polynomial kernel vector of degree <= {n} gives a valid isotropic certificate"
     )
 
 

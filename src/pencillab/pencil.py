@@ -71,11 +71,15 @@ class Pencil:
         """(|A|_F, |B|_F), computed on first use; the frozen pencil cannot reassign it."""
         return float(np.linalg.norm(self.a)), float(np.linalg.norm(self.b))
 
-    def balanced(self) -> tuple["Pencil", float]:
-        """(A, rho B) with rho = |A|_F / |B|_F (1 when either is zero), and rho."""
+    @cached_property
+    def rho(self) -> float:
+        """|A|_F / |B|_F (1 when either is zero): A + w (rho B) has both terms of one size."""
         na, nb = self.norms
-        rho = na / nb if na > 0.0 and nb > 0.0 else 1.0
-        return Pencil(self.a, rho * self.b), rho
+        return na / nb if na > 0.0 and nb > 0.0 else 1.0
+
+    def balanced(self) -> tuple["Pencil", float]:
+        """(A, rho B) and rho."""
+        return Pencil(self.a, self.rho * self.b), self.rho
 
     def norm_scale(self) -> float:
         """A common magnitude for both coefficients, used to relativize cutoffs."""

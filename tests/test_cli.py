@@ -52,6 +52,8 @@ class TestAnalyze:
         p = load_pencil(fixture)
         sigma = np.linalg.svd(p.at(complex(*singular["deciding_node"])), compute_uv=False)[-1]
         assert singular["sigma_min"] == pytest.approx(sigma) and sigma > 0.1
+        assert singular["regularity_bound"] == singular["sigma_min"]
+        assert singular["kernel_degree"] is None and singular["kernel_residual"] is None
 
     def test_zero_pencil_all_true(self, fixtures_dir, capsys):
         code, out, _ = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)
@@ -103,17 +105,22 @@ class TestAnalyze:
         assert "within a factor 10" in err
 
     @pytest.mark.parametrize("t", [1e6, 1e9])
-    def test_deficiency_hidden_from_the_qr_diagonal_exit_one(self, tmp_path, capsys, t):
-        # A = B = [[1, t], [0, 2]] commute; the rank channel sees a deficiency
-        # the QR diagonal hides, which is an unstable decision, not a bug
+    def test_deficiency_hidden_from_the_qr_diagonal_reads_singular(self, tmp_path, capsys, t):
+        # A = B = [[1, t], [0, 2]] commute, and sigma_min(A) / sigma_1(A) ~ 2 / t^2
+        # lies below the rank cutoff, though the QR diagonal hides it: the
+        # pencil reads singular, proved by a common kernel vector of A and B
         skewed = tmp_path / "skewed.json"
         entries = [[1, 0], [t, 0], [0, 0], [2, 0]]
         matrix = {"rows": 2, "cols": 2, "entries": entries}
         skewed.write_text(json.dumps({"a": matrix, "b": matrix}), encoding="utf-8")
-        code, out, err = run_cli(["analyze", str(skewed)], capsys)
-        assert code == 1
-        assert out == ""
-        assert "QR diagonal" in err
+        code, out, _ = run_cli(["analyze", str(skewed)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        singular = report["singular"]
+        assert singular["verdict"] is True and singular["regularity_bound"] is None
+        assert singular["kernel_degree"] == 0 and singular["kernel_residual"] <= 1e-9 * t
+        assert report["kronecker"]["col_minimal"] == [[0, 1]]
+        assert report["certificate"]["method"] == "kernel"
 
     def test_syntax_error_positions(self, tmp_path, capsys):
         bad = tmp_path / "syntax.json"
@@ -260,6 +267,27 @@ class TestCampaign:
         assert code == 2
         replay = json.loads(out)
         assert replay == {"check": "dopico", "index": 1, "ok": False, "detail": artifact["detail"]}
+
+    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--tol-det", "1e-3"],
+                                        ["--tol-cluster", "1e-3"], ["--seed", "4"]])
+    def test_replay_rejects_tolerance_and_seed_options(self, tmp_path, monkeypatch, capsys,
+                                                       option):
+        # the replay runs at the artifact's tolerances and seed, so an option
+        # that would set them is refused, not ignored
+        from pencillab import ToleranceConfig, cli
+
+        calls = []
+
+        def check(rng, tol, index):
+            calls.append(tol)
+            return {"ok": False, "pencil": None, "detail": {}}
+
+        monkeypatch.setitem(cli._CHECKS, "dopico", check)
+        path = cli.run_campaign("dopico", 1, ToleranceConfig(), str(tmp_path))["failure_artifacts"][0]
+        calls.clear()
+        code, out, err = run_cli(["campaign", "--replay", path] + option, capsys)
+        assert code == 1 and out == "" and calls == []
+        assert f"drop {option[0]}" in err
 
     def test_unknown_generator(self, capsys):
         code, _, err = run_cli(["campaign", "bogus", "--count", "1"], capsys)

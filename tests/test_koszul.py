@@ -648,19 +648,29 @@ class TestConditionMatrix:
         assert report.certificate is not None
 
     def test_singular_pair_sweeps_once(self, monkeypatch):
+        # one sigma_n sweep decides (i), and the kernel that proves it gives (ii)
         from pencillab import kronecker, numrange
 
-        calls = []
-        evidence = kronecker._sweep_evidence
+        sweeps, built = [], []
+        verdict, resultant = kronecker._sweep_verdict, kronecker._toeplitz_resultant
 
-        def counted(sweep, det, tol):
-            calls.append(sweep)
-            return evidence(sweep, det, tol)
+        def counted(p, sweep, tol):
+            sweeps.append(p)
+            return verdict(p, sweep, tol)
 
-        monkeypatch.setattr(kronecker, "_sweep_evidence", counted)
-        monkeypatch.setattr(numrange, "_sweep_evidence", counted)
-        assert pl.condition_matrix(np.zeros((2, 2)), np.zeros((2, 2))).pencil_singular
-        assert len(calls) == 1
+        def counted_resultant(p, k, *args):
+            built.append(k)
+            return resultant(p, k, *args)
+
+        monkeypatch.setattr(kronecker, "_sweep_verdict", counted)
+        monkeypatch.setattr(numrange, "_sweep_verdict", counted)
+        monkeypatch.setattr(kronecker, "_toeplitz_resultant", counted_resultant)
+        for a in (np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            sweeps.clear()
+            built.clear()
+            report = pl.condition_matrix(a, 2.0 * a)
+            assert report.pencil_singular and report.certificate.method == "kernel"
+            assert len(sweeps) == 1 and built == [0]
 
     def test_separated_hull_skips_isotropic_search(self, monkeypatch):
         from pencillab import numrange

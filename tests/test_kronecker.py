@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 import pencillab as pl
-from pencillab.linalg import node_stack
+from pencillab.generators import random_commuting_pair, random_singular_pencil
+from pencillab.kronecker import _toeplitz_resultant
+from pencillab.linalg import RANK_GUARD, node_stack, rank_decision
 
 from conftest import REPO, complex_matrix
 
 
 def _unitary(n, rng):
     return np.linalg.qr(complex_matrix(rng, n, n))[0]
+
+
+def _resultant_cutoff(p, k, tol):
+    """Rank cutoff of the degree-k Toeplitz resultant of the balanced pencil."""
+    q = p.balanced()[0]
+    t = _toeplitz_resultant(q, k)
+    return rank_decision(np.linalg.svd(t, compute_uv=False), t.shape, q.norm_scale(), tol)[1]
 
 
 def _on_node_pencil(rank, shape, rng, turn=0.0):
@@ -162,7 +171,7 @@ class TestSingularity:
         p = pl.Pencil(np.diag([1.0, -1.0]), np.diag([2.0, -2.0]))
         verdict = pl.is_singular(p)
         assert not verdict
-        assert verdict.rank_verdict is False and verdict.det_verdict is False
+        assert verdict.normal_rank == 2 and verdict.kernel is None
 
     def test_zero_pencil(self):
         assert bool(pl.is_singular(pl.Pencil(np.zeros((2, 2)), np.zeros((2, 2)))))
@@ -209,18 +218,25 @@ class TestSingularity:
 
     @pytest.mark.parametrize("t", [1e6, 1e9])
     def test_deficiency_hidden_from_the_qr_diagonal(self, tol, t):
-        # A + lam A: sigma_min / sigma_1 ~ 2 / t^2 reads singular, while the
-        # unpivoted QR diagonal's ratio ~ 1 / t stays above det_zero_tol
+        # A + lam A: sigma_min / sigma_1 ~ 2 / t^2 reads singular at every
+        # node, though the unpivoted QR diagonal's ratio ~ 1 / t stays above
+        # det_zero_tol; the common kernel vector of A and A proves it
         a = np.array([[1.0, t], [0.0, 2.0]])
-        with pytest.raises(pl.RankDecisionUnstable, match="QR diagonal"):
-            pl.is_singular(pl.Pencil(a, a), tol)
+        p = pl.Pencil(a, a)
+        verdict = pl.is_singular(p, tol)
+        assert verdict.singular and verdict.normal_rank == 1
+        kernel = verdict.kernel
+        t0 = _toeplitz_resultant(p.balanced()[0], 0)
+        assert kernel.degree == 0 and kernel.margin > RANK_GUARD
+        assert kernel.residual == pytest.approx(np.linalg.norm(t0 @ kernel.coefficients))
+        assert kernel.residual <= _resultant_cutoff(p, 0, tol) / RANK_GUARD
 
-    def test_determinant_singular_rank_regular_is_inconsistent(self):
-        # only a det_zero_tol above RANK_GUARD * rank_rel_tol * n lets the
-        # QR diagonal read a zero where the rank channel sees full rank
+    def test_determinant_tolerance_does_not_decide(self):
+        # a det_zero_tol loose enough for the QR diagonal to read a zero
+        # leaves the sigma_n verdict regular
         p = pl.Pencil(np.diag([1.0, 1e-3]), np.zeros((2, 2)))
-        with pytest.raises(pl.InconsistentSingularityEvidence):
-            pl.is_singular(p, pl.ToleranceConfig(det_zero_tol=1e-2))
+        verdict = pl.is_singular(p, pl.ToleranceConfig(det_zero_tol=1e-2))
+        assert not verdict and verdict.sigma_min == pytest.approx(1e-3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_node_on_eigenvalue(self, tol, seed):
@@ -231,7 +247,7 @@ class TestSingularity:
         )
         p, _ = pl.scramble(pl.assemble(s), seed, max_cond=100.0)
         verdict = pl.is_singular(p, tol)
-        assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+        assert verdict.singular and verdict.kernel.degree == 0
         assert verdict.normal_rank == 3 and verdict.rank_margin > 10
 
     def test_singular_iff_minimal_blocks(self, tol):
@@ -267,7 +283,7 @@ class TestSingularity:
             p, lam = _on_node_pencil(n - 1, (n, n), rng)
             assert np.abs(node_stack(p)[0][: n - 1] - lam).max() <= 1e-12 * abs(lam[0])
             verdict = pl.is_singular(p, tol)
-            assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+            assert verdict.singular and verdict.kernel is not None
             assert verdict.normal_rank == n - 1 and verdict.node_count == n + 1
 
     def test_scrambled_minimal_pairs(self, tol):
@@ -276,8 +292,84 @@ class TestSingularity:
                 s = pl.KroneckerStructure(col_minimal=[(eps, 1)], row_minimal=[(delta, 1)])
                 p, _ = pl.scramble(pl.assemble(s), seed=100 * eps + delta, max_cond=100.0)
                 verdict = pl.is_singular(p, tol)
-                assert verdict.singular and verdict.rank_verdict and verdict.det_verdict
+                assert verdict.singular and verdict.kernel.degree == eps
                 assert verdict.normal_rank == eps + delta and verdict.node_count == p.rows + 1
+
+    @pytest.mark.parametrize("index", [0, 1, 3, 15])
+    def test_poly_singular_pair_with_no_clean_node(self, tol, index):
+        # sigma_n is negligible at every node, while sigma_(n-1) lies in the
+        # guard band at each one: the normal rank is unknown, the verdict is not
+        rng = np.random.default_rng(2026)
+        for _ in range(index + 1):
+            p = pl.Pencil(*random_commuting_pair(rng, max_n=40, kind="poly-singular"))
+        verdict = pl.is_singular(p, tol)
+        assert verdict.singular and verdict.normal_rank is None and verdict.rank_margin <= RANK_GUARD
+        kernel = verdict.kernel
+        t = _toeplitz_resultant(p.balanced()[0], kernel.degree)
+        assert kernel.degree == 0 and np.linalg.norm(t @ kernel.coefficients) <= _resultant_cutoff(
+            p, kernel.degree, tol)
+
+    def test_regularity_bound(self, tol):
+        # any (E, F) with |E|_2 + |lam*| |F|_2 < sigma_min keeps A + E + lam* (B + F)
+        # invertible; the last draw spends the budget along the least singular pair
+        rng = np.random.default_rng(2027)
+        for n in range(1, 13):
+            p = pl.Pencil(complex_matrix(rng, n, n), 10.0 ** rng.uniform(-3, 3) * complex_matrix(rng, n, n))
+            verdict = pl.is_singular(p, tol)
+            lam, bound = verdict.deciding_node, verdict.sigma_min
+            u, _, vh = np.linalg.svd(p.at(lam))
+            for draw in range(5):
+                e, f = complex_matrix(rng, n, n), complex_matrix(rng, n, n)
+                if draw == 4:  # lam* F in phase with E
+                    e = -np.outer(u[:, -1], vh[-1])
+                    f = e * abs(lam) / lam
+                share = rng.uniform()
+                e = e * (0.99 * share * bound / np.linalg.norm(e, 2))
+                f = f * (0.99 * (1.0 - share) * bound / (abs(lam) * np.linalg.norm(f, 2)))
+                sigma = np.linalg.svd(p.a + e + lam * (p.b + f), compute_uv=False)[-1]
+                assert sigma >= 0.01 * bound * (1.0 - 1e-8)
+
+    def test_regular_sweep_takes_one_values_only_svd(self, monkeypatch, tol):
+        calls = []
+
+        def spy(name):
+            kernel = getattr(np.linalg, name)
+
+            def counted(m, *args, **kwargs):
+                calls.append((name, np.shape(m), kwargs.get("compute_uv", True)))
+                return kernel(m, *args, **kwargs)
+            return counted
+
+        rng = np.random.default_rng(16)
+        p = pl.Pencil(complex_matrix(rng, 9, 9), complex_matrix(rng, 9, 9))
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        assert not pl.is_singular(p, tol)
+        assert calls == [("svd", (10, 9, 9), False)]
+
+    def test_seeded_corpus(self, tol):
+        # a slice of the corpus in CHANGES.md: each verdict is the planted one,
+        # also for (cA, dB), and carries its certificate
+        rng = np.random.default_rng(2028)
+        planted = {"poly": False, "blockdiag": False, "poly-singular": True, "zero-block": True,
+                   "structured": True}
+        cases = [(random_singular_pencil(rng, max_size=10)[0], True) for _ in range(50)]
+        for kind, singular in planted.items():
+            cases += [(pl.Pencil(*random_commuting_pair(rng, max_n=16, kind=kind)), singular)
+                      for _ in range(20)]
+        for p, singular in cases:
+            c, d = 10.0 ** rng.uniform(-3, 3, 2)
+            for q in (p, pl.Pencil(c * p.a, d * p.b)):
+                verdict = pl.is_singular(q, tol)
+                assert bool(verdict) == singular
+                if singular:
+                    kernel = verdict.kernel
+                    t = _toeplitz_resultant(q.balanced()[0], kernel.degree)
+                    assert np.linalg.norm(t @ kernel.coefficients) <= _resultant_cutoff(
+                        q, kernel.degree, tol) / RANK_GUARD
+                else:
+                    sigma = np.linalg.svd(q.at(verdict.deciding_node), compute_uv=False)[-1]
+                    assert verdict.sigma_min == pytest.approx(sigma, rel=1e-8)
 
 
 class TestNormalRank:

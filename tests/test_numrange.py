@@ -125,16 +125,16 @@ class TestIsotropicFromSingular:
 
     @pytest.mark.parametrize("case", ["random", "node-on-eigenvalue"])
     def test_regular_pencil_builds_no_resultant(self, monkeypatch, tol, case):
-        from pencillab import numrange
+        from pencillab import kronecker
 
         built = []
-        resultant = numrange._toeplitz_resultant
+        resultant = kronecker._toeplitz_resultant
 
-        def counted(p, k):
+        def counted(p, k, *args):
             built.append(k)
-            return resultant(p, k)
+            return resultant(p, k, *args)
 
-        monkeypatch.setattr(numrange, "_toeplitz_resultant", counted)
+        monkeypatch.setattr(kronecker, "_toeplitz_resultant", counted)
         if case == "random":
             rng = np.random.default_rng(16)
             p = pl.Pencil(complex_matrix(rng, 16, 16), complex_matrix(rng, 16, 16))
@@ -165,13 +165,13 @@ class TestIsotropicFromSingular:
         assert calls == [("qr", (17, 16, 16)), ("svd", (17, 16, 16))]
 
     def test_singular_pencil_runs_no_singularity_sweep(self, monkeypatch, tol):
-        # the resultant kernel proves singularity; the two-channel sweep never runs
+        # the resultant kernel proves singularity; the sigma_n sweep never runs
         from pencillab import numrange
 
-        def refuse(sweep, det, tol):
+        def refuse(p, sweep, tol):
             raise AssertionError("the singularity sweep ran on a singular pencil")
 
-        monkeypatch.setattr(numrange, "_sweep_evidence", refuse)
+        monkeypatch.setattr(numrange, "_sweep_verdict", refuse)
         rng = np.random.default_rng(30)
         for _ in range(20):
             p, _ = random_singular_pencil(rng, max_size=10)
