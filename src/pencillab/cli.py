@@ -44,8 +44,8 @@ ENV_SEED = "PENCILLAB_SEED"
 
 
 # the ToleranceConfig field that each tolerance or seed option sets, by argparse name
-_TOLERANCE_OPTIONS = {"tol_rank": "rank_rel_tol", "tol_det": "det_zero_tol",
-                      "tol_cluster": "eig_cluster_tol", "seed": "rng_seed"}
+_TOLERANCE_OPTIONS = {"tol_rank": "rank_rel_tol", "tol_cluster": "eig_cluster_tol",
+                      "seed": "rng_seed"}
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -85,7 +85,6 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
         },
         "tolerances": {
             "rank_rel_tol": tol.rank_rel_tol,
-            "det_zero_tol": tol.det_zero_tol,
             "eig_cluster_tol": tol.eig_cluster_tol,
         },
         "seed": tol.rng_seed,
@@ -265,7 +264,6 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
                     "seed": tol.rng_seed,
                     "tolerances": {
                         "rank_rel_tol": tol.rank_rel_tol,
-                        "det_zero_tol": tol.det_zero_tol,
                         "eig_cluster_tol": tol.eig_cluster_tol,
                     },
                     "pencil": outcome["pencil"],
@@ -279,14 +277,14 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
     return summary
 
 
-def replay_artifact(path: str, tol_override: ToleranceConfig | None = None) -> dict:
+def replay_artifact(path: str) -> dict:
+    """Rerun a failure artifact's instance at its tolerances and seed; retired keys are ignored."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         artifact = json.load(fh)
-    tol = tol_override or ToleranceConfig(
+    tol = ToleranceConfig(
         rank_rel_tol=artifact["tolerances"]["rank_rel_tol"],
-        det_zero_tol=artifact["tolerances"]["det_zero_tol"],
         eig_cluster_tol=artifact["tolerances"]["eig_cluster_tol"],
         rng_seed=artifact["seed"],
     )
@@ -418,8 +416,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     # unset options take the ToleranceConfig defaults
     parser.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
-    parser.add_argument("--tol-det", type=float, default=None,
-                        help="determinant-zero cutoff (default 1e-9)")
     parser.add_argument("--tol-cluster", type=float, default=None,
                         help="eigenvalue comparison tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=None,

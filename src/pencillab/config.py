@@ -1,9 +1,11 @@
 """Numerical tolerance settings.
 
-Every rank, singularity and spectrum-comparison decision in the package
-is made against thresholds collected in one immutable
-:class:`ToleranceConfig` value, so that reports can state exactly which
-cutoffs produced them.
+Every rank and spectrum-comparison decision in the package is made
+against thresholds collected in one immutable :class:`ToleranceConfig`
+value, so that reports can state exactly which cutoffs produced them.
+Singularity is one of those rank decisions: it is read off the smallest
+singular value at each node against ``rank_rel_tol``, with no cutoff of
+its own.
 """
 
 from __future__ import annotations
@@ -22,15 +24,6 @@ class ToleranceConfig:
         (0 for a purely relative cutoff; |A| + |lam| |B| at a node
         lam of a pencil sweep).  A singular value within a factor 10 of
         the cutoff makes the decision untrustworthy.
-    det_zero_tol
-        Cutoff for a vanishing determinant at a sweep node lam: the
-        determinant counts as zero when the smallest magnitude on the QR
-        diagonal of A + lam B is below ``det_zero_tol * max(largest
-        magnitude on it, |A| + |lam| |B|)``.  It screens pencils in
-        ``pencil_eigenvalues`` and ``isotropic_from_singular`` and bounds
-        the determinant identity of ``spectrum_via_singularity``.  It does
-        not decide singularity: ``is_singular`` reads that off the
-        smallest singular values against ``rank_rel_tol``.
     eig_cluster_tol
         Relative tolerance for comparing two given spectrum points
         (``structures_match`` allows 100 times it).  It sets no
@@ -42,12 +35,11 @@ class ToleranceConfig:
     """
 
     rank_rel_tol: float = 1e-10
-    det_zero_tol: float = 1e-9
     eig_cluster_tol: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "det_zero_tol", "eig_cluster_tol"):
+        for name in ("rank_rel_tol", "eig_cluster_tol"):
             value = getattr(self, name)
             if not (value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")

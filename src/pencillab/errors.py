@@ -25,7 +25,7 @@ class DecompositionError(PencilLabError):
 
 
 class SingularPencil(PencilLabError):
-    """Determinant sampling found the pencil identically singular."""
+    """``is_singular`` proved the pencil singular, so it has no eigenvalues."""
 
 
 class RankDecisionUnstable(PencilLabError):

@@ -369,6 +369,16 @@ def _kernel_walk(p: Pencil, tol: ToleranceConfig, start: int = 0):
                                    1.0 / ratio if ratio else math.inf)
 
 
+def _least_kernel(p: Pencil, tol: ToleranceConfig) -> PolynomialKernel:
+    """The first kernel of :func:`_kernel_walk`, whose absence sigma_n sweeps report as unstable."""
+    kernel = next(_kernel_walk(p, tol), None)
+    if kernel is None:
+        raise RankDecisionUnstable(
+            f"singularity sweep: sigma_n is negligible at every node, but no Toeplitz resultant "
+            f"of degree <= {p.rows} has sigma_min below its cutoff by a factor {RANK_GUARD:g}")
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # the staircase
 
@@ -533,7 +543,6 @@ class SingularityEvidence:
     singular: bool
     normal_rank: int | None
     rank_margin: float
-    dimension: int
     node_count: int
     deciding_node: complex
     sigma_min: float
@@ -559,7 +568,7 @@ def is_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityEvi
     if not p.is_square:
         raise ValueError(f"singularity is defined for square pencils, got {p.shape}")
     if not p.rows:
-        return SingularityEvidence(False, 0, float("inf"), 0, 0, 0j, float("inf"))
+        return SingularityEvidence(False, 0, float("inf"), 0, 0j, float("inf"))
     return _sweep_verdict(p, node_stack(p), tol)
 
 
@@ -572,23 +581,19 @@ def _sweep_verdict(p: Pencil, sweep, tol: ToleranceConfig) -> SingularityEvidenc
     ratios = sigma[:, -1] / np.maximum(cutoffs, np.finfo(float).tiny)
     k = int(np.argmax(ratios))
     if ratios[k] > RANK_GUARD:  # every singular value at lam* clears the cutoff by ratios[k]
-        return SingularityEvidence(False, n, float(ratios[k]), n, len(nodes), complex(nodes[k]),
+        return SingularityEvidence(False, n, float(ratios[k]), len(nodes), complex(nodes[k]),
                                    float(sigma[k, -1]))
     if ratios[k] * RANK_GUARD >= 1.0:
         raise RankDecisionUnstable(f"singularity sweep: the largest sigma_n, {sigma[k, -1]:.3e}, "
                                    f"lies within a factor {RANK_GUARD:g} of its cutoff "
                                    f"{cutoffs[k]:.3e}", sigma=float(sigma[k, -1]),
                                    threshold=float(cutoffs[k]))
-    kernel = next(_kernel_walk(p, tol), None)
-    if kernel is None:
-        raise RankDecisionUnstable(
-            f"singularity sweep: sigma_n is negligible at every node, but no Toeplitz resultant "
-            f"of degree <= {n} has sigma_min below its cutoff by a factor {RANK_GUARD:g}")
+    kernel = _least_kernel(p, tol)
     ranks, _, margins = rank_decision(sigma, (n, n), anchors, tol)
     clean = _rank_node(ranks, margins)
     k = k if clean is None else clean
     return SingularityEvidence(True, None if clean is None else int(ranks[k]), float(margins[k]),
-                               n, len(nodes), complex(nodes[k]), float(sigma[k, -1]), kernel)
+                               len(nodes), complex(nodes[k]), float(sigma[k, -1]), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ the cutoff makes the decision untrustworthy; callers that must be sure
 raise or skip on it.  Every pencil sweep takes its nodes from
 :func:`node_stack`, which places max(rows, cols) + 1 of them on one circle
 and anchors node lam at |A| + |lam| |B|.  Singularity is decided on the
-smallest singular value at each node
-(:func:`~pencillab.kronecker.is_singular`); the determinant-zero screens
-compare the QR diagonal with ``det_zero_tol`` against the same anchor
-(:func:`det_zero_sweep`).  Every
+smallest singular value at each node against its rank cutoff
+(:func:`~pencillab.kronecker.is_singular`), and the one cheaper screen,
+:func:`deficient_at_every_node`, bounds that same value by the QR
+diagonal, so it can only confirm the singular side.  Every
 eigenvalue cluster with its multiplicity comes from
 :func:`disc_clusters`, which links QZ eigenvalues by their own
 chordal perturbation discs (:func:`eigenvalue_discs`), and
@@ -318,7 +318,7 @@ def _components(linked: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# determinant sampling of a pencil
+# node sweeps of a pencil
 
 
 def node_stack(p: Pencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,18 +341,19 @@ def node_stack(p: Pencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, stack, p.norms[0] + np.abs(nodes) * p.norms[1]
 
 
-def det_zero_sweep(stack, anchors, tol: ToleranceConfig) -> bool:
-    """Determinant-zero screen over a :func:`node_stack`.
+def deficient_at_every_node(stack, anchors, tol: ToleranceConfig) -> bool:
+    """Whether the QR diagonal proves sigma_n negligible at every node of a :func:`node_stack`.
 
-    |det| is the product of the QR diagonal's magnitudes |r_kk|, so the
-    smallest |r_kk| against max(largest |r_kk|, node anchor) witnesses a
-    zero.  One batched QR serves every node; the diagonal of its ``"raw"``
-    form is that of R.  Returns whether every ratio lies below ``det_zero_tol``.
+    sigma_n <= min |r_kk| and max |r_kk| <= sigma_1, so min |r_kk| below
+    the cutoff of max |r_kk| by more than ``RANK_GUARD`` at every node puts
+    sigma_n there too: the singular side of
+    :func:`~pencillab.kronecker.is_singular`.  A miss proves nothing.  One
+    batched QR serves every node; its ``"raw"`` form has R's diagonal.
     """
     diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="raw")[0], axis1=-2, axis2=-1))
-    top = np.maximum(diagonal.max(axis=-1), anchors)
-    ratios = diagonal.min(axis=-1) / np.maximum(top, np.finfo(float).tiny)
-    return bool(np.all(ratios < tol.det_zero_tol))
+    cutoffs = rank_cutoff(diagonal.max(axis=-1), stack.shape[1:], anchors, tol)
+    ratios = diagonal.min(axis=-1) / np.maximum(cutoffs, np.finfo(float).tiny)
+    return bool(np.all(ratios * RANK_GUARD < 1.0))
 
 
 def pencil_determinant_coefficients(p: Pencil) -> np.ndarray:
@@ -375,16 +376,19 @@ def pencil_eigenvalues(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Spectru
     """Roots of det(A + lam*B) with multiplicities, plus the count at infinity.
 
     The clusters come from :func:`eigenvalues`.  Raises
-    :class:`SingularPencil` when every sampled determinant is negligible,
-    since a singular pencil has no eigenvalues in this sense.
+    :class:`SingularPencil` exactly when
+    :func:`~pencillab.kronecker.is_singular` proves the pencil singular,
+    since a singular pencil has no eigenvalues in this sense, and
+    :class:`RankDecisionUnstable` when that verdict is undecided.
     """
+    from .kronecker import is_singular  # kronecker builds on this module
+
     if not p.is_square:
         raise ValueError("pencil eigenvalues need a square pencil")
-    n = p.rows
-    if n == 0:
+    if not p.rows:
         return SpectrumList((), ())
-    if det_zero_sweep(*node_stack(p)[1:], tol):
-        raise SingularPencil(
-            "all sampled determinants are negligible; the pencil appears singular"
-        )
+    verdict = is_singular(p, tol)
+    if verdict:
+        raise SingularPencil(f"the pencil is singular: a polynomial kernel vector of degree "
+                             f"{verdict.kernel.degree} has residual {verdict.kernel.residual:.3e}")
     return eigenvalues(p.a, p.b)

@@ -4,16 +4,15 @@ Membership of the origin in the joint numerical range W(A, B) is
 certified constructively for singular pencils, from a least-degree
 polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
 regular pairs only by randomized local search.  A singular pencil needs
-no separate singularity sweep: once every sampled determinant is
-negligible, the polynomial kernel vector that yields the vector proves
-singularity itself.  The sigma_n verdict of
-:func:`~pencillab.kronecker.is_singular` runs only when no such kernel
-is found, on the stack the determinants were read from, so no second
-sweep is built or factored.  Absence is claimed only
-through the convex hull, where Wolfe's min-norm-point method (Gilbert
-1966; Wolfe 1976) certifies both answers: convex weights on at most five
-range points that average to the origin, or a separating direction of the
-four-matrix Hermitian combination.
+no separate singularity sweep: once the QR diagonal bounds sigma_n
+below its cutoff at every node, the polynomial kernel vector that yields
+the vector proves singularity itself.  The sigma_n verdict of
+:func:`~pencillab.kronecker.is_singular` runs only when that screen
+misses, on the stack the screen factored, so no second sweep is built.
+Absence is claimed only through the convex hull, where Wolfe's
+min-norm-point method (Gilbert 1966; Wolfe 1976) certifies both answers:
+convex weights on at most five range points that average to the origin,
+or a separating direction of the four-matrix Hermitian combination.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
-from .kronecker import PolynomialKernel, _kernel_walk, _sweep_verdict
-from .linalg import det_zero_sweep, node_stack
+from .kronecker import PolynomialKernel, _kernel_walk, _least_kernel, _sweep_verdict
+from .linalg import deficient_at_every_node, node_stack
 from .pencil import Pencil, as_matrix
 
 CERT_REL_TOL = 1e-8
@@ -193,26 +192,24 @@ def isotropic_search(
 def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> IsotropicCertificate:
     """Common isotropic vector of the coefficients of a singular pencil.
 
-    A determinant screen over :func:`~pencillab.linalg.node_stack` comes
-    first: when every sampled determinant is negligible,
-    :func:`_singular_certificate` walks the polynomial kernel vectors, each
-    a proof of singularity (Van Dooren 1979), and returns the first valid
-    vector.  Otherwise the sigma_n verdict of
-    :func:`~pencillab.kronecker.is_singular` runs on the screen's own
-    stack, so the stack is built and factored once, and a regular pencil
-    builds no resultant: :class:`NotSingular` for a regular pencil, the
-    vector from the verdict's kernel for a singular one (or
-    :class:`TransformUnavailable`), or :class:`RankDecisionUnstable`.
+    A QR screen over :func:`~pencillab.linalg.node_stack` comes first
+    (:func:`~pencillab.linalg.deficient_at_every_node`): a hit proves
+    sigma_n below its cutoff by more than ``RANK_GUARD`` at every node, the
+    singular side of :func:`~pencillab.kronecker.is_singular`, so the
+    polynomial kernel vectors, each a proof of singularity (Van Dooren
+    1979), are walked at once.  A miss runs the sigma_n verdict on the
+    screen's own stack, so the stack is built and factored once, and a
+    regular pencil builds no resultant.  Raises :class:`NotSingular` for a
+    regular pencil, :class:`RankDecisionUnstable` for an undecided one or
+    when no resultant has a kernel, and :class:`TransformUnavailable` when
+    no kernel gives a valid vector.
     """
     if not p.is_square:
         raise ValueError(f"isotropic construction needs a square pencil, got {p.shape}")
     if p.rows:
         sweep = node_stack(p)
-        if det_zero_sweep(*sweep[1:], tol):
-            try:
-                return _singular_certificate(p, tol)
-            except TransformUnavailable:
-                pass
+        if deficient_at_every_node(*sweep[1:], tol):
+            return _singular_certificate(p, tol, _least_kernel(p, tol))
         evidence = _sweep_verdict(p, sweep, tol)
         if evidence:
             return _singular_certificate(p, tol, evidence.kernel)
@@ -220,21 +217,19 @@ def isotropic_from_singular(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Is
 
 
 def _singular_certificate(p: Pencil, tol: ToleranceConfig,
-                          kernel: PolynomialKernel | None = None) -> IsotropicCertificate:
+                          kernel: PolynomialKernel) -> IsotropicCertificate:
     """Isotropic vector from the least-degree polynomial kernel vector that gives a valid one.
 
-    The kernels are ``kernel`` and the walk's kernels of higher degree, or
-    the whole walk.  For a kernel X = [x_0 ... x_k] of degree k, x = X c
-    with R* X c = 0 for R = B [x_0 ... x_(k-1)]; the first valid x is
-    returned.  At the least column minimal index X is a minimal polynomial
-    kernel vector, so A X and B X lie in span R and x* A x = x* B x = 0.
-    Raises :class:`TransformUnavailable` when no kernel gives a valid vector.
+    The kernels are ``kernel`` and the walk's kernels of higher degree.
+    For a kernel X = [x_0 ... x_k] of degree k, x = X c with R* X c = 0
+    for R = B [x_0 ... x_(k-1)]; the first valid x is returned.  At the
+    least column minimal index X is a minimal polynomial kernel vector, so
+    A X and B X lie in span R and x* A x = x* B x = 0.  Raises
+    :class:`TransformUnavailable` when no kernel gives a valid vector.
     """
     a, b = p.a, p.b
     n = p.cols
-    walk = _kernel_walk(p, tol) if kernel is None else chain(
-        [kernel], _kernel_walk(p, tol, kernel.degree + 1))
-    for kernel in walk:
+    for kernel in chain([kernel], _kernel_walk(p, tol, kernel.degree + 1)):
         k = kernel.degree
         x_mat = kernel.coefficients.reshape(k + 1, n).T
         if k == 0:

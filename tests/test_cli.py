@@ -268,8 +268,29 @@ class TestCampaign:
         replay = json.loads(out)
         assert replay == {"check": "dopico", "index": 1, "ok": False, "detail": artifact["detail"]}
 
-    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--tol-det", "1e-3"],
-                                        ["--tol-cluster", "1e-3"], ["--seed", "4"]])
+    def test_replay_ignores_a_retired_tolerance_key(self, fixtures_dir, monkeypatch, capsys):
+        # an artifact written while ToleranceConfig had a fourth float still
+        # replays, at its other tolerances and seed
+        from pencillab import ToleranceConfig, cli
+
+        path = fixtures_dir / "campaign" / "roundtrip-0000-old-format.json"
+        artifact = json.loads(path.read_text(encoding="utf-8"))
+        assert set(artifact["tolerances"]) - {"rank_rel_tol", "eig_cluster_tol"}
+        calls = []
+        check = cli._CHECKS["roundtrip"]
+
+        def recorded(rng, tol, index):
+            calls.append(tol)
+            return check(rng, tol, index)
+
+        monkeypatch.setitem(cli._CHECKS, "roundtrip", recorded)
+        code, out, _ = run_cli(["campaign", "--replay", str(path)], capsys)
+        assert code == 0 and calls == [ToleranceConfig(rng_seed=3)]
+        assert json.loads(out) == {"check": "roundtrip", "index": 0, "ok": True,
+                                   "detail": artifact["detail"]}
+
+    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--tol-cluster", "1e-3"],
+                                        ["--seed", "4"]])
     def test_replay_rejects_tolerance_and_seed_options(self, tmp_path, monkeypatch, capsys,
                                                        option):
         # the replay runs at the artifact's tolerances and seed, so an option

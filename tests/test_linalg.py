@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencillab as pl
-from pencillab.linalg import invariant_subspaces, node_stack, pencil_determinant_coefficients
+from pencillab.generators import random_commuting_pair, random_singular_pencil
+from pencillab.linalg import (RANK_GUARD, deficient_at_every_node, invariant_subspaces, node_stack,
+                              pencil_determinant_coefficients, rank_cutoff)
 
 from conftest import complex_matrix
 
@@ -224,6 +226,14 @@ class TestPencilEigenvalues:
         with pytest.raises(pl.SingularPencil):
             pl.pencil_eigenvalues(p)
 
+    @pytest.mark.parametrize("t", [1e6, 1e9])
+    def test_deficiency_hidden_from_the_qr_diagonal_raises(self, tol, t):
+        # is_singular proves A + lam A singular by a common kernel vector,
+        # though the QR diagonal's ratio is only ~ 1 / t
+        a = np.array([[1.0, t], [0.0, 2.0]])
+        with pytest.raises(pl.SingularPencil, match="degree 0"):
+            pl.pencil_eigenvalues(pl.Pencil(a, a), tol)
+
     def test_matches_inverse_spectrum(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -264,6 +274,37 @@ class TestPencilEigenvalues:
         coeffs = pencil_determinant_coefficients(p) * p.norm_scale() ** 2
         # det(A + lam B) = -(1 + 2 lam)**2
         np.testing.assert_allclose(coeffs, [-1.0, -4.0, -4.0], atol=1e-12)
+
+
+class TestDeficiencyScreen:
+    def test_a_hit_puts_sigma_n_below_every_cutoff(self, tol):
+        # sigma_n <= min |r_kk| and max |r_kk| <= sigma_1, so whenever the QR
+        # screen hits, is_singular's sigma_n sweep reads every node negligible
+        rng = np.random.default_rng(27)
+        kinds = ("poly", "poly-singular", "blockdiag", "zero-block", "structured")
+        hits = singular = 0
+        for i in range(322):
+            family = i % 7
+            if family == 0:
+                p = random_singular_pencil(rng, max_size=10)[0]
+                singular += 1
+            elif family == 1:
+                n = int(rng.integers(1, 11))
+                p = pl.Pencil(complex_matrix(rng, n, n), complex_matrix(rng, n, n))
+            else:
+                p = pl.Pencil(*random_commuting_pair(rng, max_n=10, kind=kinds[family - 2]))
+            if i % 2:
+                p = pl.Pencil(p.a, p.b * 10.0 ** rng.uniform(-3.0, 3.0))
+            _, stack, anchors = node_stack(p)
+            if not deficient_at_every_node(stack, anchors, tol):
+                assert family, "the screen missed a singular pencil"
+                continue
+            hits += 1
+            sigma = np.linalg.svd(stack, compute_uv=False)
+            cutoffs = rank_cutoff(sigma[:, 0], stack.shape[1:], anchors, tol)
+            assert np.all(sigma[:, -1] * RANK_GUARD < cutoffs)
+            assert family != 1, "the screen hit a random regular pencil"
+        assert hits >= singular == 46
 
 
 class TestClustering:

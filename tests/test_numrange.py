@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 import pencillab as pl
 from pencillab.generators import (random_commuting_pair, random_doubly_commuting_pair,
                                   random_singular_pencil)
-from pencillab.linalg import RANK_GUARD
+from pencillab.linalg import RANK_GUARD, deficient_at_every_node, node_stack
 from pencillab.numrange import BOUNDARY_TOL
 
 from conftest import complex_matrix
@@ -123,18 +123,23 @@ class TestIsotropicFromSingular:
         with pytest.raises(pl.NotSingular):
             pl.isotropic_from_singular(p)
 
-    @pytest.mark.parametrize("case", ["random", "node-on-eigenvalue"])
-    def test_regular_pencil_builds_no_resultant(self, monkeypatch, tol, case):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The degrees of the Toeplitz resultants built, in order."""
         from pencillab import kronecker
 
-        built = []
+        degrees = []
         resultant = kronecker._toeplitz_resultant
 
         def counted(p, k, *args):
-            built.append(k)
+            degrees.append(k)
             return resultant(p, k, *args)
 
         monkeypatch.setattr(kronecker, "_toeplitz_resultant", counted)
+        return degrees
+
+    @pytest.mark.parametrize("case", ["random", "node-on-eigenvalue"])
+    def test_regular_pencil_builds_no_resultant(self, built, tol, case):
         if case == "random":
             rng = np.random.default_rng(16)
             p = pl.Pencil(complex_matrix(rng, 16, 16), complex_matrix(rng, 16, 16))
@@ -143,6 +148,28 @@ class TestIsotropicFromSingular:
         with pytest.raises(pl.NotSingular):
             pl.isotropic_from_singular(p, tol)
         assert built == []
+
+    def test_undecided_pencil_builds_no_resultant(self, built, tol):
+        # sigma_2 = 1e-10 lies a factor 2 below the cutoff 2e-10: the QR
+        # screen misses, and the sigma_n verdict raises before any resultant
+        with pytest.raises(pl.RankDecisionUnstable, match="within a factor 10"):
+            pl.isotropic_from_singular(pl.Pencil(np.diag([1.0, 1e-10]), np.zeros((2, 2))), tol)
+        assert built == []
+
+    def test_screen_hit_without_a_kernel_is_unstable(self, monkeypatch, tol):
+        # the screen proves sigma_n negligible at every node; resultants that
+        # disagree make the verdict unstable, as in is_singular, and never
+        # TransformUnavailable, which a campaign does not count as unstable
+        from pencillab import kronecker
+
+        monkeypatch.setattr(kronecker, "_kernel_walk", lambda p, tol, start=0: iter(()))
+        p, _ = random_singular_pencil(np.random.default_rng(31), max_size=10)
+        assert deficient_at_every_node(*node_stack(p)[1:], tol)
+        message = "sigma_n is negligible at every node, but no Toeplitz resultant"
+        with pytest.raises(pl.RankDecisionUnstable, match=message):
+            pl.isotropic_from_singular(p, tol)
+        with pytest.raises(pl.RankDecisionUnstable, match=message):
+            pl.is_singular(p, tol)
 
     def test_regular_pencil_factors_its_sweep_once(self, monkeypatch, tol):
         # the rank channel reads the gate's own stack: one batched QR, one batched SVD

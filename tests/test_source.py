@@ -27,3 +27,25 @@ def test_every_public_parameter_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             dead += [f"{path.name}:{name}({p})" for p in params if p not in read]
     assert dead == []
+
+
+def test_every_tolerance_is_set_reported_and_replayed(tmp_path, monkeypatch):
+    # a ToleranceConfig float has one CLI option, one analyze report key and
+    # one campaign artifact key, so no setting outlives its last reader
+    import dataclasses
+    import json
+
+    import numpy as np
+
+    from pencillab import Pencil, ToleranceConfig, cli
+
+    fields = {f.name for f in dataclasses.fields(ToleranceConfig) if f.type == "float"}
+    options = set(cli._TOLERANCE_OPTIONS.values()) - {"rng_seed"}
+    report = set(cli.analyze_pencil(Pencil(np.eye(2), np.zeros((2, 2))), ToleranceConfig())
+                 ["tolerances"])
+    monkeypatch.setitem(cli._CHECKS, "dopico",
+                        lambda rng, tol, index: {"ok": False, "pencil": None, "detail": {}})
+    path = cli.run_campaign("dopico", 1, ToleranceConfig(), str(tmp_path))["failure_artifacts"][0]
+    with open(path, encoding="utf-8") as fh:
+        artifact = set(json.load(fh)["tolerances"])
+    assert fields == options == report == artifact
