@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io as _io
-import os
 import sys
 import zlib
 from pathlib import Path
@@ -40,19 +39,13 @@ from .linalg import numerical_rank, pencil_determinant_coefficients
 from .numrange import isotropic_from_singular, pencil_nr_is_plane
 from .pencil import Pencil
 
-ENV_SEED = "PENCILLAB_SEED"
-
-
 # the ToleranceConfig field that each tolerance or seed option sets, by argparse name
-_TOLERANCE_OPTIONS = {"tol_rank": "rank_rel_tol", "tol_cluster": "eig_cluster_tol",
-                      "seed": "rng_seed"}
+_TOLERANCE_OPTIONS = {"tol_rank": "rank_rel_tol", "seed": "rng_seed"}
 
 
 def _tolerances(args) -> ToleranceConfig:
-    settings = {"rng_seed": int(os.environ.get(ENV_SEED, "0"))}
-    settings.update((field, getattr(args, name)) for name, field in _TOLERANCE_OPTIONS.items()
-                    if getattr(args, name) is not None)
-    return ToleranceConfig(**settings)
+    given = {field: getattr(args, name) for name, field in _TOLERANCE_OPTIONS.items()}
+    return ToleranceConfig(**{field: value for field, value in given.items() if value is not None})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -83,10 +76,7 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
             "norm_a": p.norms[0],
             "norm_b": p.norms[1],
         },
-        "tolerances": {
-            "rank_rel_tol": tol.rank_rel_tol,
-            "eig_cluster_tol": tol.eig_cluster_tol,
-        },
+        "tolerances": {"rank_rel_tol": tol.rank_rel_tol},
         "seed": tol.rng_seed,
     }
     commuting = commuting_analysis(p.a, p.b, tol) if p.is_square else None
@@ -130,19 +120,13 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
     return report
 
 
-def cmd_analyze(args) -> int:
-    tol = _tolerances(args)
+def cmd_analyze(args, tol: ToleranceConfig) -> int:
     try:
-        p = plio.load_pencil(args.pencil)
-    except (plio.ParseError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
-        report = analyze_pencil(p, tol)
+        report = analyze_pencil(plio.load_pencil(args.pencil), tol)
     except (ImplicationViolated, OracleDisagreement) as exc:
         sys.stderr.write(f"computation violated a guaranteed property: {exc}\n")
         return 2
-    except PencilLabError as exc:
+    except (PencilLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(plio.dumps(report), args.out)
@@ -158,7 +142,7 @@ def _check_roundtrip(rng: np.random.Generator, tol: ToleranceConfig, index: int)
     seed = int(rng.integers(0, 2**63 - 1))
     scrambled, _ = scramble(assemble(structure), seed, max_cond=100.0)
     recovered = staircase_structure(scrambled, tol)
-    ok = structures_match(structure, recovered, tol)
+    ok = structures_match(structure, recovered)
     return {
         "ok": ok,
         "pencil": plio.pencil_to_json(scrambled),
@@ -189,7 +173,7 @@ def _check_hypo(rng: np.random.Generator, tol: ToleranceConfig, index: int) -> d
             break
     direct = taylor_spectrum(a, b, tol)
     ratio = spectrum_invertible_characterization(a, b, tol)
-    ok, mismatches = spectra_match(direct.points, ratio.points, tol)
+    ok, mismatches = spectra_match(direct.points, ratio.points)
     return {
         "ok": ok,
         "pencil": plio.pencil_to_json(Pencil(a, b)),
@@ -262,10 +246,7 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
                     "check": name,
                     "index": index,
                     "seed": tol.rng_seed,
-                    "tolerances": {
-                        "rank_rel_tol": tol.rank_rel_tol,
-                        "eig_cluster_tol": tol.eig_cluster_tol,
-                    },
+                    "tolerances": {"rank_rel_tol": tol.rank_rel_tol},
                     "pencil": outcome["pencil"],
                     "detail": outcome["detail"],
                 }
@@ -278,24 +259,25 @@ def run_campaign(generator: str, count: int, tol: ToleranceConfig,
 
 
 def replay_artifact(path: str) -> dict:
-    """Rerun a failure artifact's instance at its tolerances and seed; retired keys are ignored."""
-    import json
+    """Rerun a failure artifact's instance at its tolerances and seed; retired keys are ignored.
 
-    with open(path, "r", encoding="utf-8") as fh:
-        artifact = json.load(fh)
-    tol = ToleranceConfig(
-        rank_rel_tol=artifact["tolerances"]["rank_rel_tol"],
-        eig_cluster_tol=artifact["tolerances"]["eig_cluster_tol"],
-        rng_seed=artifact["seed"],
-    )
-    name = artifact["check"]
-    index = artifact["index"]
-    rng = campaign_rng(artifact["seed"], name, index)
-    outcome = _CHECKS[name](rng, tol, index)
+    An artifact that lacks a field, or holds one of the wrong kind, raises
+    :class:`~pencillab.io.ParseError`.
+    """
+    artifact = plio.load_json(path)
+    try:
+        name, index, seed = artifact["check"], artifact["index"], artifact["seed"]
+        check = _CHECKS[name]
+        tol = ToleranceConfig(rank_rel_tol=artifact["tolerances"]["rank_rel_tol"], rng_seed=seed)
+        rng = campaign_rng(seed, name, index)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise plio.ParseError(f"{path}: malformed failure artifact "
+                              f"({type(exc).__name__}: {exc})") from exc
+    outcome = check(rng, tol, index)
     return {"check": name, "index": index, "ok": outcome["ok"], "detail": outcome["detail"]}
 
 
-def cmd_campaign(args) -> int:
+def cmd_campaign(args, tol: ToleranceConfig) -> int:
     if args.replay:
         given = ["--" + name.replace("_", "-") for name in _TOLERANCE_OPTIONS
                  if getattr(args, name) is not None]
@@ -308,6 +290,9 @@ def cmd_campaign(args) -> int:
         except (OracleDisagreement, ImplicationViolated) as exc:
             sys.stderr.write(f"replayed failure: {exc}\n")
             return 2
+        except (PencilLabError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
         _emit(plio.dumps(result), args.out)
         return 0 if result["ok"] else 2
     if args.generator not in _CHECKS and args.generator != "all":
@@ -316,7 +301,10 @@ def cmd_campaign(args) -> int:
             f"{', '.join(list(_CHECKS) + ['all'])}\n"
         )
         return 1
-    summary = run_campaign(args.generator, args.count, _tolerances(args), args.failure_dir)
+    if args.count < 1:
+        sys.stderr.write("error: --count must be at least 1\n")
+        return 1
+    summary = run_campaign(args.generator, args.count, tol, args.failure_dir)
     _emit(plio.dumps(summary), args.out)
     failed = sum(stats["failed"] for stats in summary["results"].values())
     return 2 if failed else 0
@@ -348,13 +336,13 @@ def shift_experiment_rows(n_max: int, tol: ToleranceConfig) -> list[dict]:
         others = np.abs(np.delete(true_coeffs, n))
         singular = bool(is_singular(p, tol))
         spectrum = taylor_spectrum(a, b, tol)
-        origin_member = spectrum.contains(0.0, 0.0, tol)
+        origin_member = spectrum.contains(0.0, 0.0)
         assessment = koszul_at(a, b, 0.0, 0.0, tol)
 
         ia, ib = invertible_shift_pair(n)
         inv_direct = taylor_spectrum(ia, ib, tol)
         inv_ratio = spectrum_invertible_characterization(ia, ib, tol)
-        inv_match, _ = spectra_match(inv_direct.points, inv_ratio.points, tol)
+        inv_match, _ = spectra_match(inv_direct.points, inv_ratio.points)
         rows.append(
             {
                 "n": n,
@@ -391,11 +379,10 @@ _SHIFT_COLUMNS = [
 ]
 
 
-def cmd_shift_experiment(args) -> int:
+def cmd_shift_experiment(args, tol: ToleranceConfig) -> int:
     if not (1 <= args.nmax <= 50):
         sys.stderr.write("error: --nmax must lie in 1..50\n")
         return 1
-    tol = _tolerances(args)
     rows = shift_experiment_rows(args.nmax, tol)
     if args.format == "json":
         _emit(plio.dumps(rows), args.out)
@@ -416,15 +403,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     # unset options take the ToleranceConfig defaults
     parser.add_argument("--tol-rank", type=float, default=None,
                         help="relative rank cutoff (default 1e-10)")
-    parser.add_argument("--tol-cluster", type=float, default=None,
-                        help="eigenvalue comparison tolerance (default 1e-8)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${ENV_SEED} or 0)")
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A rejected argument raises ValueError, for ``main`` to report as an input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pencillab",
         description="Analyze complex matrix pencils: Kronecker structure, singularity, "
         "Taylor spectrum and joint numerical range conditions.",
@@ -462,8 +454,13 @@ _parser = functools.cache(build_parser)  # built once per process
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = _parser().parse_args(argv)
+        tol = _tolerances(args)
+    except ValueError as exc:  # a malformed option, or a value ToleranceConfig refuses
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    return args.func(args, tol)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Numerical tolerance settings.
 
-Every rank and spectrum-comparison decision in the package is made
-against thresholds collected in one immutable :class:`ToleranceConfig`
-value, so that reports can state exactly which cutoffs produced them.
-Singularity is one of those rank decisions: it is read off the smallest
-singular value at each node against ``rank_rel_tol``, with no cutoff of
-its own.
+Every rank decision in the package is made against the one cutoff held
+in an immutable :class:`ToleranceConfig` value, so that reports can state
+exactly which cutoff produced them.  Singularity is one of those rank
+decisions: it is read off the smallest singular value at each node
+against ``rank_rel_tol``, with no cutoff of its own.  Comparisons of two
+computed spectra use fixed module constants that no setting moves.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Thresholds used by rank and spectrum decisions.
+    """The rank cutoff and the seed of every randomized step.
 
     rank_rel_tol
         Cutoff for numerical rank: singular values at or below
@@ -24,25 +24,17 @@ class ToleranceConfig:
         (0 for a purely relative cutoff; |A| + |lam| |B| at a node
         lam of a pencil sweep).  A singular value within a factor 10 of
         the cutoff makes the decision untrustworthy.
-    eig_cluster_tol
-        Relative tolerance for comparing two given spectrum points
-        (``structures_match`` allows 100 times it).  It sets no
-        clustering radius: eigenvalue clusters come from each
-        eigenvalue's own perturbation disc.
     rng_seed
         Seed for every internal randomized step (the isotropic and
         multiplier searches), so results are reproducible.
     """
 
     rank_rel_tol: float = 1e-10
-    eig_cluster_tol: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "eig_cluster_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if not (self.rank_rel_tol > 0.0):
+            raise ValueError(f"rank_rel_tol must be strictly positive, got {self.rank_rel_tol!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
 

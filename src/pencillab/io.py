@@ -41,8 +41,9 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise ParseError(f"{where}: missing required field {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-        raise ParseError(f"{where}: rows/cols must be nonnegative integers, got {rows!r}, {cols!r}")
+    for key, value in (("rows", rows), ("cols", cols)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ParseError(f"{where}.{key}: expected a nonnegative integer, got {value!r}")
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise ParseError(f"{where}.entries: expected a list")
@@ -83,15 +84,19 @@ def pencil_to_json(p: Pencil) -> dict:
     return {"a": matrix_to_json(p.a), "b": matrix_to_json(p.b)}
 
 
-def load_pencil(path) -> Pencil:
+def load_json(path):
+    """The JSON document in a file; malformed JSON raises ParseError at its position."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    return pencil_from_json(doc, where=str(path))
+
+
+def load_pencil(path) -> Pencil:
+    return pencil_from_json(load_json(path), where=str(path))
 
 
 def save_json(path, payload) -> None:
@@ -147,13 +152,7 @@ def structure_from_json(obj, where: str = "structure") -> KroneckerStructure:
 
 
 def load_structure_catalog(path) -> list[KroneckerStructure]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: catalog must be a list")
     return [structure_from_json(item, f"{path}[{i}]") for i, item in enumerate(doc)]

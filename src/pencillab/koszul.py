@@ -34,6 +34,8 @@ from .linalg import (RANK_GUARD, invariant_subspaces, node_stack, numerical_rank
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
+# coordinatewise relative gap within which two computed joint points are one point
+POINT_MATCH_REL_TOL = 1e-8
 # relative gap allowed between the two sides of spectrum_via_singularity's determinant identity
 DET_IDENTITY_REL_TOL = 1e-9
 
@@ -101,13 +103,13 @@ class TaylorSpectrum:
     witnesses: tuple[np.ndarray, ...]
     residuals: tuple[tuple[float, float], ...]
 
-    def contains(self, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return any(_close(p, (z1, z2), tol) for p in self.points)
+    def contains(self, z1: complex, z2: complex) -> bool:
+        return any(_close(p, (z1, z2)) for p in self.points)
 
 
-def _close(p, q, tol: ToleranceConfig) -> bool:
-    """Whether q matches the spectrum point p coordinatewise within ``eig_cluster_tol``."""
-    return all(abs(x - y) <= tol.eig_cluster_tol * max(1.0, abs(x)) for x, y in zip(p, q))
+def _close(p, q) -> bool:
+    """Whether q matches the spectrum point p coordinatewise within ``POINT_MATCH_REL_TOL``."""
+    return all(abs(x - y) <= POINT_MATCH_REL_TOL * max(1.0, abs(x)) for x, y in zip(p, q))
 
 
 def _shifted_blocks(a, b, z1: complex, z2: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +175,8 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)[0]
 
 
-def spectra_match(
-    points1, points2, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[bool, list]:
-    """Greedy point-set comparison within ``eig_cluster_tol``.
+def spectra_match(points1, points2) -> tuple[bool, list]:
+    """Greedy point-set comparison, each pair of points within ``POINT_MATCH_REL_TOL``.
 
     Returns (equal, mismatches) where mismatches lists points present on
     one side only.
@@ -184,7 +184,7 @@ def spectra_match(
     remaining = list(points2)
     mismatches = []
     for p in points1:
-        hit = next((i for i, q in enumerate(remaining) if _close(p, q, tol)), None)
+        hit = next((i for i, q in enumerate(remaining) if _close(p, q)), None)
         if hit is None:
             mismatches.append(("first-only", p))
         else:

@@ -35,6 +35,9 @@ from .linalg import (
 )
 from .pencil import Pencil, as_matrix
 
+# relative gap within which structures_match takes two Jordan eigenvalues as one
+EIGENVALUE_MATCH_REL_TOL = 1e-6
+
 # ---------------------------------------------------------------------------
 # canonical blocks
 
@@ -189,10 +192,8 @@ def assemble(structure: KroneckerStructure) -> Pencil:
     return direct_sum(blocks)
 
 
-def structures_match(
-    s1: KroneckerStructure, s2: KroneckerStructure, tol: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Structure equality with eigenvalues compared within 100 ``eig_cluster_tol`` relative."""
+def structures_match(s1: KroneckerStructure, s2: KroneckerStructure) -> bool:
+    """Structure equality with eigenvalues compared within ``EIGENVALUE_MATCH_REL_TOL``."""
     if s1.col_minimal != s2.col_minimal or s1.row_minimal != s2.row_minimal:
         return False
     if s1.nilpotent != s2.nilpotent:
@@ -203,7 +204,7 @@ def structures_match(
     for size, lam in s1.jordan:
         hit = None
         for i, (size2, lam2) in enumerate(remaining):
-            if size == size2 and abs(lam - lam2) <= 100 * tol.eig_cluster_tol * max(1.0, abs(lam)):
+            if size == size2 and abs(lam - lam2) <= EIGENVALUE_MATCH_REL_TOL * max(1.0, abs(lam)):
                 hit = i
                 break
         if hit is None:

@@ -25,6 +25,7 @@ from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
+from .koszul import COMMUTE_REL_TOL
 from .kronecker import PolynomialKernel, _kernel_walk, _least_kernel, _sweep_verdict
 from .linalg import deficient_at_every_node, node_stack
 from .pencil import Pencil, as_matrix
@@ -32,7 +33,7 @@ from .pencil import Pencil, as_matrix
 CERT_REL_TOL = 1e-8
 BOUNDARY_TOL = 1e-7
 INSIDE_SLACK = 1e-8
-DOUBLY_COMMUTE_REL_TOL = 1e-10
+SEPARATION_SLACK = 1e-8
 HULL_MAX_ITERATIONS = 200
 SEARCH_TARGET_REL = 1e-11
 # dogbox reaches the target within 5-9 evaluations from most starts that
@@ -82,7 +83,7 @@ class IsotropicCertificate:
     degree: int | None = None
     rank_margin: float | None = None
 
-    def is_valid(self, a, b, rel_tol: float = CERT_REL_TOL) -> bool:
+    def is_valid(self, a, b) -> bool:
         """Recompute the residuals from scratch and test them."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
@@ -92,8 +93,8 @@ class IsotropicCertificate:
         ra = abs(x.conj() @ a @ x)
         rb = abs(x.conj() @ b @ x)
         return bool(
-            ra <= rel_tol * max(float(np.linalg.norm(a)), 1e-300)
-            and rb <= rel_tol * max(float(np.linalg.norm(b)), 1e-300)
+            ra <= CERT_REL_TOL * max(float(np.linalg.norm(a)), 1e-300)
+            and rb <= CERT_REL_TOL * max(float(np.linalg.norm(b)), 1e-300)
         )
 
 
@@ -256,11 +257,11 @@ class SeparationCertificate:
     direction: np.ndarray
     margin: float
 
-    def is_valid(self, a, b, slack: float = 1e-8) -> bool:
+    def is_valid(self, a, b) -> bool:
         mats = _real_range_matrices(a, b)
         combined = np.tensordot(self.direction, mats, axes=1)
         lam_min = float(np.linalg.eigvalsh(combined).min(initial=np.inf))  # inf: empty range
-        return lam_min >= self.margin - slack * max(1.0, abs(self.margin))
+        return lam_min >= self.margin - SEPARATION_SLACK * max(1.0, abs(self.margin))
 
 
 @dataclass(frozen=True)
@@ -417,12 +418,12 @@ def nr_contains(p: Pencil, lam0: complex) -> bool:
     return conv_hull_membership(m, np.zeros_like(m)).verdict == "inside"
 
 
-def is_doubly_commuting(a, b, rel_tol: float = DOUBLY_COMMUTE_REL_TOL) -> bool:
-    """AB = BA and A*B = BA*, each up to 1e-10 relative to |A| |B|."""
+def is_doubly_commuting(a, b) -> bool:
+    """AB = BA and A*B = BA*, each up to ``koszul.COMMUTE_REL_TOL`` relative to |A| |B|."""
     a = as_matrix(a)
     b = as_matrix(b)
     scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     return (
-        float(np.linalg.norm(a @ b - b @ a)) <= rel_tol * scale
-        and float(np.linalg.norm(a.conj().T @ b - b @ a.conj().T)) <= rel_tol * scale
+        float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * scale
+        and float(np.linalg.norm(a.conj().T @ b - b @ a.conj().T)) <= COMMUTE_REL_TOL * scale
     )

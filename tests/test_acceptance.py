@@ -85,7 +85,7 @@ def test_criterion_02_kronecker_round_trip():
         except pl.RankDecisionUnstable:
             failures += 1
             continue
-        if not pl.structures_match(structure, recovered, TOL):
+        if not pl.structures_match(structure, recovered):
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 60.0
@@ -135,7 +135,7 @@ def test_criterion_04_invertible_ratio_description():
         invertible += 1
         direct = pl.taylor_spectrum(a, b, TOL)
         ratio = pl.spectrum_invertible_characterization(a, b, TOL)
-        equal, _ = pl.spectra_match(direct.points, ratio.points, TOL)
+        equal, _ = pl.spectra_match(direct.points, ratio.points)
         if not equal:
             mismatched += 1
     ok = mismatched == 0 and invertible > 100

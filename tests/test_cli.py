@@ -269,13 +269,13 @@ class TestCampaign:
         assert replay == {"check": "dopico", "index": 1, "ok": False, "detail": artifact["detail"]}
 
     def test_replay_ignores_a_retired_tolerance_key(self, fixtures_dir, monkeypatch, capsys):
-        # an artifact written while ToleranceConfig had a fourth float still
-        # replays, at its other tolerances and seed
+        # an artifact written while ToleranceConfig had more floats still
+        # replays, at its rank cutoff and seed
         from pencillab import ToleranceConfig, cli
 
         path = fixtures_dir / "campaign" / "roundtrip-0000-old-format.json"
         artifact = json.loads(path.read_text(encoding="utf-8"))
-        assert set(artifact["tolerances"]) - {"rank_rel_tol", "eig_cluster_tol"}
+        assert set(artifact["tolerances"]) - {"rank_rel_tol"} == {"det_zero_tol", "eig_cluster_tol"}
         calls = []
         check = cli._CHECKS["roundtrip"]
 
@@ -289,8 +289,7 @@ class TestCampaign:
         assert json.loads(out) == {"check": "roundtrip", "index": 0, "ok": True,
                                    "detail": artifact["detail"]}
 
-    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--tol-cluster", "1e-3"],
-                                        ["--seed", "4"]])
+    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--seed", "4"]])
     def test_replay_rejects_tolerance_and_seed_options(self, tmp_path, monkeypatch, capsys,
                                                        option):
         # the replay runs at the artifact's tolerances and seed, so an option
@@ -315,15 +314,52 @@ class TestCampaign:
         assert code == 1
         assert "unknown generator" in err
 
-    def test_count_zero_empty_summary(self, tmp_path, capsys):
-        code, out, _ = run_cli(
-            ["campaign", "necessity", "--count", "0",
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_refused(self, tmp_path, capsys, count):
+        code, out, err = run_cli(
+            ["campaign", "necessity", "--count", count,
              "--failure-dir", str(tmp_path / "fails")],
             capsys,
         )
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["results"]["necessity"] == {"passed": 0, "failed": 0, "unstable": 0}
+        assert code == 1 and out == ""
+        assert err == "error: --count must be at least 1\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"check": "roundtrip"}', "malformed failure artifact (KeyError: 'index')"),
+        ('{"check": "roundtrip", "index": 0, "seed": 0}',
+         "malformed failure artifact (KeyError: 'tolerances')"),
+        ('{"check": "bogus", "index": 0, "seed": 0, "tolerances": {"rank_rel_tol": 1e-10}}',
+         "malformed failure artifact (KeyError: 'bogus')"),
+        ('{"check": "roundtrip", "index": 0, "seed": -1, "tolerances": {"rank_rel_tol": 1e-10}}',
+         "rng_seed must be a nonnegative integer"),
+        ("[1, 2]", "malformed failure artifact (TypeError: "),
+        ("{", "invalid JSON at line 1"),
+    ])
+    def test_replay_of_a_bad_artifact_is_an_input_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "artifact.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, out, err = run_cli(["campaign", "--replay", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_replay_that_turns_unstable_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        from pencillab import RankDecisionUnstable, ToleranceConfig, cli
+
+        outcomes = iter([{"ok": False, "pencil": None, "detail": {}}])
+
+        def check(rng, tol, index):
+            outcome = next(outcomes, None)
+            if outcome is None:
+                raise RankDecisionUnstable("margin too small")
+            return outcome
+
+        monkeypatch.setitem(cli._CHECKS, "dopico", check)
+        path = cli.run_campaign("dopico", 1, ToleranceConfig(), str(tmp_path))["failure_artifacts"][0]
+        code, out, err = run_cli(["campaign", "--replay", path], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: margin too small\n"
 
     def test_instances_independent_of_hash_seed(self, tmp_path):
         script = (
@@ -373,3 +409,26 @@ class TestShiftExperiment:
         code, _, err = run_cli(["shift-experiment", "--nmax", "0"], capsys)
         assert code == 1
         assert "1..50" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "the following arguments are required: pencil"),
+        (["analyze", "p.json", "--tol-rank", "abc"], "argument --tol-rank: invalid float value"),
+        (["shift-experiment", "--format", "xml"], "argument --format: invalid choice"),
+        ([], "the following arguments are required: command"),
+        (["analyze", "p.json", "--tol-rank", "0"], "rank_rel_tol must be strictly positive"),
+        (["campaign", "--seed", "-1"], "rng_seed must be a nonnegative integer"),
+    ])
+    def test_rejected_argument_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        # argparse's usage lines may come first
+        last = err.splitlines()[-1]
+        assert err.count("error") == 1 and last.startswith("error: ") and message in last
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", "--help"])
+        assert exit_.value.code == 0
+        assert "--tol-rank" in capsys.readouterr().out

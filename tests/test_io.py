@@ -33,6 +33,14 @@ class TestMatrixJson:
         with pytest.raises(plio.ParseError, match=r"entries\[0\]"):
             plio.matrix_from_json(doc)
 
+    @pytest.mark.parametrize("rows, cols, field", [(True, True, "rows"), (1, False, "cols"),
+                                                   (-1, 1, "rows"), (1, 1.0, "cols")])
+    def test_dimensions_must_be_integers(self, rows, cols, field):
+        # bool is an int subclass, but true is no row count
+        doc = {"rows": rows, "cols": cols, "entries": [[1, 0]]}
+        with pytest.raises(plio.ParseError, match=rf"^matrix\.{field}: expected a nonnegative"):
+            plio.matrix_from_json(doc)
+
 
 class TestPencilJson:
     def test_round_trip(self):

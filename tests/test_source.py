@@ -49,3 +49,16 @@ def test_every_tolerance_is_set_reported_and_replayed(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         artifact = set(json.load(fh)["tolerances"])
     assert fields == options == report == artifact
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from an argument, so ambient state cannot change a result
+    readers = {"environ", "environb", "getenv"}
+    found = []
+    for path in sorted((REPO / "src" / "pencillab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and readers & {alias.name for alias in node.names}):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
