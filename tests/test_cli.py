@@ -289,7 +289,9 @@ class TestCampaign:
         assert json.loads(out) == {"check": "roundtrip", "index": 0, "ok": True,
                                    "detail": artifact["detail"]}
 
-    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--seed", "4"]])
+    # the ids keep the case names from when a --tol-cluster case sat between these two
+    @pytest.mark.parametrize("option", [["--tol-rank", "1e-3"], ["--seed", "4"]],
+                             ids=["option0", "option2"])
     def test_replay_rejects_tolerance_and_seed_options(self, tmp_path, monkeypatch, capsys,
                                                        option):
         # the replay runs at the artifact's tolerances and seed, so an option
