@@ -126,7 +126,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     except (ImplicationViolated, OracleDisagreement) as exc:
         sys.stderr.write(f"computation violated a guaranteed property: {exc}\n")
         return 2
-    except (PencilLabError, OSError) as exc:
+    except PencilLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(plio.dumps(report), args.out)
@@ -290,7 +290,7 @@ def cmd_campaign(args, tol: ToleranceConfig) -> int:
         except (OracleDisagreement, ImplicationViolated) as exc:
             sys.stderr.write(f"replayed failure: {exc}\n")
             return 2
-        except (PencilLabError, OSError) as exc:
+        except PencilLabError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
         _emit(plio.dumps(result), args.out)
@@ -460,7 +460,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a malformed option, or a value ToleranceConfig refuses
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return args.func(args, tol)
+    try:
+        return args.func(args, tol)
+    except OSError as exc:  # a file that cannot be read or written, such as --out
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

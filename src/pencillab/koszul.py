@@ -16,8 +16,10 @@ its guard band by the conditioning of the eigenvector basis
 (:func:`commuting_structure`); otherwise, and for every pencil that is
 not square and commuting, :func:`~pencillab.kronecker.staircase_structure`
 decides it.  ``analyze`` takes a commuting pair's structure, spectrum and
-conditions from :func:`commuting_analysis`.  Each public function
-validates its pair once: one that calls another lets the callee validate.
+conditions from :func:`commuting_analysis`, which computes the joint
+spectrum once for the structure and, on a normal pair, for condition
+(ii).  Each public function validates its pair once: one that calls
+another lets the callee validate.
 """
 
 from __future__ import annotations
@@ -266,16 +268,16 @@ def commuting_structure(
     structure.  Returns the structure and the Taylor spectrum of the same
     pass.
     """
-    return _commuting_structure(*_require_commuting(a, b), tol)
-
-
-def _commuting_structure(a, b, tol: ToleranceConfig) -> tuple[KroneckerStructure, TaylorSpectrum]:
-    """The body of :func:`commuting_structure` on a validated commuting pair."""
+    a, b = _require_commuting(a, b)
     spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    return _commuting_structure(a, b, spectrum, bases, tol), spectrum
+
+
+def _commuting_structure(a, b, spectrum: TaylorSpectrum, bases,
+                         tol: ToleranceConfig) -> KroneckerStructure:
+    """The body of :func:`commuting_structure` on a validated pair and its joint spectrum."""
     structure = _simple_point_structure(a, b, spectrum, bases, tol)
-    if structure is None:
-        structure = staircase_structure(Pencil(a, b), tol)
-    return structure, spectrum
+    return staircase_structure(Pencil(a, b), tol) if structure is None else structure
 
 
 def _simple_point_structure(a, b, spectrum: TaylorSpectrum, bases, tol: ToleranceConfig):
@@ -349,16 +351,40 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
 
     For matrices every implication checked here is a theorem; a failed one
     signals a numerical or logic bug and raises
-    :class:`ImplicationViolated`.  Condition (ii) is reported as true only
-    when an isotropic certificate was actually found: on a singular pencil
-    it is built from the polynomial kernel vector that proved (i), so one
-    kernel walk serves both.  A valid separation certificate of the hull
-    proves (ii) false, so no search runs then.
+    :class:`ImplicationViolated`.  Condition (ii) is true only with a valid
+    isotropic certificate.  On a singular pencil it is built from the
+    polynomial kernel vector that proved (i), so one kernel walk serves
+    both.  A valid separation certificate of the hull proves (ii) false.
+    Otherwise, on a normal pair (|M M* - M* M|_F <= ``COMMUTE_REL_TOL``
+    |M|_F^2 for M = A, B), W(A, B) is the convex hull of the joint points
+    (Horn & Johnson, Thm 2.5.5), and the vector of their min-norm convex
+    combination (``"joint-eigenvectors"``) decides (ii) alone; a hull
+    verdict "inside" that it fails raises :class:`OracleDisagreement`.
+    Only a pair that is not normal runs
+    :func:`~pencillab.numrange.isotropic_search`.  Condition (iii) is the
+    verdict of :func:`~pencillab.numrange.conv_hull_membership`.
+    """
+    koszul = koszul_at(a, b, 0.0, 0.0, tol)  # validates the pair
+    return _condition_matrix(as_matrix(a), as_matrix(b), koszul, None, tol)
+
+
+def _is_normal(m: np.ndarray) -> bool:
+    """Whether |M M* - M* M|_F <= ``COMMUTE_REL_TOL`` |M|_F^2."""
+    adjoint = m.conj().T
+    return float(np.linalg.norm(m @ adjoint - adjoint @ m)) <= (
+        COMMUTE_REL_TOL * float(np.linalg.norm(m)) ** 2)
+
+
+def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
+                      tol: ToleranceConfig) -> ConditionMatrix:
+    """The body of :func:`condition_matrix` on a validated pair.
+
+    ``koszul`` is the pair's assessment at the origin, and ``joint`` its
+    (spectrum, bases) from :func:`_joint_spectrum`, or None when the
+    caller has not computed them.
     """
     from . import numrange
 
-    koszul = koszul_at(a, b, 0.0, 0.0, tol)  # validates the pair
-    a, b = as_matrix(a), as_matrix(b)
     p = Pencil(a, b)
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
@@ -370,7 +396,18 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     if cond_i:
         certificate = numrange._singular_certificate(p, tol, singularity.kernel)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
-        certificate = numrange.isotropic_search(a, b, tol)
+        if _is_normal(a) and _is_normal(b):
+            spectrum, bases = joint or _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+            certificate = numrange._joint_eigenvector_certificate(a, b, spectrum.points, bases)
+            if membership.verdict == "inside" and not certificate.is_valid(a, b):
+                raise OracleDisagreement(
+                    f"the hull of W(A, B) holds the origin, but the joint eigenvectors of the "
+                    f"normal pair give residuals {certificate.residual_a:.3e} and "
+                    f"{certificate.residual_b:.3e}",
+                    verdicts={"hull": membership.verdict,
+                              "residuals": (certificate.residual_a, certificate.residual_b)})
+        else:
+            certificate = numrange.isotropic_search(a, b, tol)
     cond_ii = certificate is not None and certificate.is_valid(a, b)
     certificate = certificate if cond_ii else None
 
@@ -407,16 +444,23 @@ def commuting_analysis(
 ) -> tuple[KroneckerStructure, TaylorSpectrum, ConditionMatrix] | None:
     """Structure, Taylor spectrum and conditions of a square pair, or None if it does not commute.
 
-    The paper's theorem cross-checks the two: the structure of
-    :func:`commuting_structure` has minimal indices exactly when condition
-    (i), the singularity sweep of :func:`condition_matrix`, holds, or
-    :class:`ImplicationViolated` is raised.
+    The pair is validated and its joint spectrum computed once; the
+    spectrum and the bases of its joint eigenspaces serve both the
+    structure read-off of :func:`commuting_structure` and, on a normal
+    pair, the isotropic vector of :func:`condition_matrix`.  The paper's
+    theorem cross-checks the two: the structure has minimal indices
+    exactly when condition (i), the singularity sweep of
+    :func:`condition_matrix`, holds, or :class:`ImplicationViolated` is
+    raised.
     """
     try:
-        conditions = condition_matrix(a, b, tol)  # validates the pair
+        koszul = koszul_at(a, b, 0.0, 0.0, tol)  # validates the pair
     except NotCommuting:
         return None
-    structure, spectrum = _commuting_structure(as_matrix(a), as_matrix(b), tol)
+    a, b = as_matrix(a), as_matrix(b)
+    spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    conditions = _condition_matrix(a, b, koszul, (spectrum, bases), tol)
+    structure = _commuting_structure(a, b, spectrum, bases, tol)
     if bool(structure.col_minimal or structure.row_minimal) != conditions.pencil_singular:
         raise ImplicationViolated(
             f"the structure read off the joint spectrum has minimal indices "

@@ -263,9 +263,10 @@ def eigenvalue_discs(a, b=None, error: float = 0.0) -> tuple[np.ndarray, np.ndar
     yax = alpha * ybx if b is None else np.sum(vl.conj() * (a @ vr), axis=0)
     b_norm = math.sqrt(len(a)) if b is None else np.linalg.norm(b)  # |I|_F for a matrix
     pencil_norm = math.hypot(np.linalg.norm(a), b_norm)
-    with np.errstate(divide="ignore"):
+    # numerically orthogonal eigenvectors of a long Jordan block give kappa = inf, capped below
+    with np.errstate(divide="ignore", over="ignore"):
         kappa = 1.0 / np.hypot(np.abs(yax), np.abs(ybx))
-    radius = CLUSTER_RADIUS_FACTOR * kappa * max(np.finfo(float).eps * pencil_norm, error)
+        radius = CLUSTER_RADIUS_FACTOR * kappa * max(np.finfo(float).eps * pencil_norm, error)
     size = np.hypot(np.abs(alpha), np.abs(beta))
     return alpha / size, beta / size, np.minimum(radius, CLUSTER_RADIUS_CAP)
 

@@ -3,16 +3,21 @@
 Membership of the origin in the joint numerical range W(A, B) is
 certified constructively for singular pencils, from a least-degree
 polynomial kernel vector (Gantmacher 1959; Van Dooren 1979), and for
-regular pairs only by randomized local search.  A singular pencil needs
-no separate singularity sweep: once the QR diagonal bounds sigma_n
-below its cutoff at every node, the polynomial kernel vector that yields
-the vector proves singularity itself.  The sigma_n verdict of
-:func:`~pencillab.kronecker.is_singular` runs only when that screen
-misses, on the stack the screen factored, so no second sweep is built.
-Absence is claimed only through the convex hull, where Wolfe's
-min-norm-point method (Gilbert 1966; Wolfe 1976) certifies both answers:
-convex weights on at most five range points that average to the origin,
-or a separating direction of the four-matrix Hermitian combination.
+commuting normal pairs, from joint eigenvectors weighted by the min-norm
+convex combination of the joint points (Horn & Johnson, Thm 2.5.5);
+other regular pairs are certified only by randomized local search.  A
+singular pencil needs no separate singularity sweep: once the QR
+diagonal bounds sigma_n below its cutoff at every node, the polynomial
+kernel vector that yields the vector proves singularity itself.  The
+sigma_n verdict of :func:`~pencillab.kronecker.is_singular` runs only
+when that screen misses, on the stack the screen factored, so no second
+sweep is built.  Absence is claimed through the convex hull, where
+Wolfe's min-norm-point method (Gilbert 1966; Wolfe 1976) certifies both
+answers: convex weights on at most five range points that average to the
+origin, or a separating direction of the four-matrix Hermitian
+combination.  The range of a commuting normal pair is the convex hull of
+its joint points, so there the joint-eigenvector vector decides both
+answers alone.
 """
 
 from __future__ import annotations
@@ -68,12 +73,15 @@ class IsotropicCertificate:
 
     ``method`` is ``"kernel"`` (a common kernel vector) or
     ``"kronecker-constructive"`` (a polynomial kernel vector of degree >= 1)
-    from :func:`isotropic_from_singular`, and ``"random-search"`` only from
-    :func:`isotropic_search`.  A constructed vector also records the
-    ``degree`` k of the Toeplitz resultant T_k whose kernel proved the
-    pencil singular and that kernel's ``rank_margin`` (the factor by which
-    sigma_min(T_k) lies below the rank cutoff); both are None for a
-    searched vector.
+    from :func:`isotropic_from_singular`, ``"joint-eigenvectors"`` (joint
+    eigenvectors of a commuting normal pair, weighted by the min-norm
+    convex combination of its joint points) from
+    :func:`~pencillab.koszul.condition_matrix`, and ``"random-search"``
+    only from :func:`isotropic_search`.  A vector built from a polynomial
+    kernel also records the ``degree`` k of the Toeplitz resultant T_k
+    whose kernel proved the pencil singular and that kernel's
+    ``rank_margin`` (the factor by which sigma_min(T_k) lies below the
+    rank cutoff); both are None for any other vector.
     """
 
     vector: np.ndarray
@@ -246,6 +254,25 @@ def _singular_certificate(p: Pencil, tol: ToleranceConfig,
     )
 
 
+def _joint_eigenvector_certificate(a, b, points, bases) -> IsotropicCertificate:
+    """The vector of the min-norm point of the hull of a normal pair's joint points.
+
+    A commuting pair of normal matrices is diagonalized by one unitary
+    (Horn & Johnson, Thm 2.5.5), so its joint eigenspaces, spanned by
+    ``bases``, are orthogonal, and W(A, B) has the joint points
+    (alpha_k, beta_k) as its convex hull.  For the convex weights w_k of
+    :func:`_min_norm_weights` on the points, each coordinate scaled by its
+    coefficient's norm, and the first column q_k of each basis, the unit
+    vector x = sum_k sqrt(w_k) q_k has x* A x = sum_k w_k alpha_k and
+    x* B x = sum_k w_k beta_k: it is isotropic exactly when the origin
+    lies in the hull.
+    """
+    z = np.array(points, dtype=complex)
+    atoms = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 4) / _coefficient_norms(a, b)
+    x = np.column_stack([q[:, 0] for q in bases]) @ np.sqrt(_min_norm_weights(atoms))
+    return _certificate(a, b, x, "joint-eigenvectors")
+
+
 # ---------------------------------------------------------------------------
 # convex hull of the joint numerical range
 
@@ -330,6 +357,21 @@ def _atom(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((mats @ x) @ x.conj()).real
 
 
+_MIN_NORM_TARGET = np.eye(5)[4]
+_MIN_NORM_TARGET.flags.writeable = False
+
+
+def _min_norm_weights(points: np.ndarray) -> np.ndarray:
+    """Convex weights of the min-norm point of the hull of the rows of ``points`` in R^4.
+
+    Wolfe's min-norm step: NNLS on [S; 1 ... 1] w = (0, 1) for the columns
+    S of the points, scaled to sum 1.  Raises ``RuntimeError`` at
+    Lawson-Hanson's iteration limit.
+    """
+    weights = nnls(np.vstack([points.T, np.ones(len(points))]), _MIN_NORM_TARGET)[0]
+    return weights / weights.sum()
+
+
 def conv_hull_membership(a, b) -> ConvHullMembership:
     """Decide whether the origin lies in the closed convex hull K of W(A, B).
 
@@ -368,7 +410,6 @@ def conv_hull_membership(a, b) -> ConvHullMembership:
         return ConvHullMembership("inside", 0.0, np.eye(4)[0], scale, inside_certificate=cert)
     gap_floor = 100.0 * n * np.finfo(float).eps * scale  # rounding in eigh and NNLS
     flat = mats.reshape(4, n * n)
-    target = np.eye(5)[4]
     vectors: list[np.ndarray] = []
     atoms: list[np.ndarray] = []
     best, best_dir = -np.inf, point / norm / norms
@@ -385,12 +426,12 @@ def conv_hull_membership(a, b) -> ConvHullMembership:
         atoms.append(_atom(mats, eigvecs[:, 0]))
         active = np.array(atoms)
         try:
-            weights = nnls(np.vstack([active.T / scale, np.ones(len(atoms))]), target)[0]
+            weights = _min_norm_weights(active / scale)
         except RuntimeError:  # Lawson-Hanson's iteration limit: leave it undecided
             break
         keep = np.flatnonzero(weights > 0.0)
         vectors, atoms = [vectors[i] for i in keep], [atoms[i] for i in keep]
-        weights = weights[keep] / weights.sum()
+        weights = weights[keep]
         point = weights @ active[keep]
         norm = float(np.linalg.norm(point))
         if norm <= INSIDE_SLACK * scale:

@@ -42,6 +42,8 @@ class TestAnalyze:
         assert membership["verdict"] == "inside"
         assert membership["iterations"] == 0
         assert membership["inside_weights"] == [0.5, 0.5]
+        # a normal pair: the vector comes from its joint eigenvectors, with no search
+        assert report["certificate"]["method"] == "joint-eigenvectors"
 
     def test_regularity_witness(self, fixtures_dir, capsys):
         fixture = fixtures_dir / "signed_diag_pair.json"
@@ -177,9 +179,8 @@ class TestAnalyze:
         from pencillab import koszul
         from pencillab.kronecker import KroneckerStructure
 
-        read = koszul._commuting_structure
-        monkeypatch.setattr(koszul, "_commuting_structure", lambda a, b, tol: (
-            KroneckerStructure(jordan=[(1, 0.0), (1, 0.0)]), read(a, b, tol)[1]))
+        monkeypatch.setattr(koszul, "_simple_point_structure", lambda *args: (
+            KroneckerStructure(jordan=[(1, 0.0), (1, 0.0)])))
         code, out, err = run_cli(["analyze", str(fixtures_dir / "zero_pencil_2x2.json")], capsys)
         assert code == 2
         assert out == ""
@@ -428,6 +429,17 @@ class TestExitCodes:
         # argparse's usage lines may come first
         last = err.splitlines()[-1]
         assert err.count("error") == 1 and last.startswith("error: ") and message in last
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{fixtures}/signed_diag_pair.json"],
+        ["campaign", "roundtrip", "--count", "1", "--failure-dir", "{tmp}/failures"],
+        ["shift-experiment", "--nmax", "2"],
+    ], ids=["analyze", "campaign", "shift-experiment"])
+    def test_unwritable_out_is_an_input_error(self, fixtures_dir, tmp_path, capsys, argv):
+        argv = [arg.format(fixtures=fixtures_dir, tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "missing" / "r.json")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing" in err and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:

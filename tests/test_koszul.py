@@ -632,6 +632,7 @@ class TestConditionMatrix:
         assert report.pencil_singular is False
         assert report.origin_in_joint_range is True
         assert report.range_is_plane is True
+        assert report.certificate.method == "joint-eigenvectors"
         assert all(ok for _, ok in report.implications)
 
     def test_zero_pair_all_true(self):
@@ -711,7 +712,149 @@ class TestConditionMatrix:
             pl.condition_matrix(p.a, p.b)
 
 
+def _hull_holds_origin(z1, z2) -> bool:
+    """Whether convex weights on the points (z1_k, z2_k) average to 0, by linear programming."""
+    from scipy.optimize import linprog
+
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    equalities = np.vstack([z1.real, z1.imag, z2.real, z2.imag, np.ones(len(z1))])
+    result = linprog(np.zeros(len(z1)), A_eq=equalities, b_eq=np.eye(5)[4], bounds=(0, None))
+    assert result.status in (0, 2), result.message  # feasible or infeasible, nothing else
+    return result.status == 0
+
+
+def _normal_joint_points():
+    rng = np.random.default_rng(2402)
+    inside = complex_matrix(rng, 2, 6)
+    inside -= inside.mean(axis=1, keepdims=True)
+    outside = complex_matrix(rng, 2, 4)
+    outside[0] = rng.uniform(0.5, 1.5, 4) + 1j * outside[0].imag  # Re x*Ax >= 0.5
+    return {
+        "inside": inside,
+        "outside": outside,
+        # the origin halves the edge from (1, 2) to (-1, -2); Im z1 > 0 at the other points
+        "edge": np.array([[1, -1, 0.5 + 1j, -0.2 + 0.7j], [2, -2, 1 - 0.3j, 0.4 + 0.5j]]),
+        "repeated-inside": np.array([[1, 1, -1, -1, 2j], [2, 2, -2, -2, 1]]),
+        "repeated-outside": np.array([[1, 1, 1.5 + 1j, 1.5 + 1j, 0.7], [2, 2, -1, -1, 3j]]),
+    }
+
+
+NORMAL_JOINT_POINTS = _normal_joint_points()
+
+
+def _normal_pair(z1, z2, variant):
+    """U diag(z1) U*, U diag(z2) U*, then at (cA, dB) or in other unitary coordinates."""
+    rng = np.random.default_rng(29)
+    n = len(z1)
+    u = np.linalg.qr(complex_matrix(rng, n, n))[0]
+    a, b = (u * z1) @ u.conj().T, (u * z2) @ u.conj().T
+    if variant == "scaled":
+        return 1e3 * a, 1e-2 * b, 1e3 * z1, 1e-2 * z2
+    if variant == "rotated":
+        q = np.linalg.qr(complex_matrix(rng, n, n))[0]
+        return q @ a @ q.conj().T, q @ b @ q.conj().T, z1, z2
+    return a, b, z1, z2
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    from pencillab import numrange
+
+    calls = []
+    search = numrange.isotropic_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(numrange, "isotropic_search", counted)
+    return calls
+
+
+class TestNormalPairs:
+    @pytest.mark.parametrize("variant", ["plain", "scaled", "rotated"])
+    @pytest.mark.parametrize("case", list(NORMAL_JOINT_POINTS))
+    def test_joint_eigenvectors_decide_condition_ii(self, case, variant, search_calls):
+        a, b, z1, z2 = _normal_pair(*NORMAL_JOINT_POINTS[case], variant)
+        inside = _hull_holds_origin(z1, z2)
+        assert inside == ("inside" in case or case == "edge")
+        report = pl.condition_matrix(a, b)
+        assert not report.pencil_singular
+        # W(A, B) is the hull of the joint points, so (ii) and (iii) both say "inside"
+        assert report.origin_in_joint_range == inside
+        assert report.range_is_plane == inside
+        if inside:
+            assert report.certificate.method == "joint-eigenvectors"
+            assert report.certificate.is_valid(a, b)
+        else:
+            assert report.certificate is None
+        assert search_calls == []
+
+    def test_commuting_analysis_shares_its_spectrum(self, monkeypatch, search_calls):
+        from pencillab import koszul
+
+        computed = []
+        joint = koszul._joint_spectrum
+
+        def counted(*args):
+            computed.append(args)
+            return joint(*args)
+
+        monkeypatch.setattr(koszul, "_joint_spectrum", counted)
+        a, b, *_ = _normal_pair(*NORMAL_JOINT_POINTS["inside"], "plain")
+        structure, spectrum, conditions = pl.commuting_analysis(a, b)
+        assert conditions.certificate.method == "joint-eigenvectors"
+        assert len(computed) == 1 and search_calls == []
+
+    def test_an_invalid_vector_is_false_without_a_search(self, monkeypatch, search_calls):
+        # with no separation certificate the construction runs; its vector
+        # is not isotropic when the origin is outside, and (ii) is false
+        from pencillab import numrange
+
+        membership = numrange.conv_hull_membership
+        monkeypatch.setattr(numrange, "conv_hull_membership", lambda a, b: dataclasses.replace(
+            membership(a, b), verdict="boundary", certificate=None))
+        a, b, *_ = _normal_pair(*NORMAL_JOINT_POINTS["outside"], "plain")
+        report = pl.condition_matrix(a, b)
+        assert not report.origin_in_joint_range and report.certificate is None
+        assert search_calls == []
+
+    def test_an_inside_hull_without_an_isotropic_vector_is_a_disagreement(self, monkeypatch):
+        from pencillab import numrange
+
+        def skewed(a, b, points, bases):
+            return numrange._certificate(a, b, bases[0][:, 0], "joint-eigenvectors")
+
+        monkeypatch.setattr(numrange, "_joint_eigenvector_certificate", skewed)
+        with pytest.raises(pl.OracleDisagreement, match="joint eigenvectors"):
+            pl.condition_matrix(np.diag([1.0, -1.0]), np.diag([2.0, -2.0]))
+
+    def test_a_doubly_commuting_pair_that_is_not_normal_is_searched(self, search_calls):
+        # J_2(0) and I commute doubly, but J_2(0) is not normal; the block
+        # (-1, -1) brings the origin into the range, since W(4 J_2(0)) holds 1
+        from pencillab import koszul
+
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert pl.is_doubly_commuting(jordan, np.eye(2)) and not koszul._is_normal(jordan)
+        a = np.block([[4.0 * jordan, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]])
+        b = np.diag([1.0, 1.0, -1.0])
+        report = pl.condition_matrix(a, b)
+        assert not report.pencil_singular and report.range_is_plane
+        assert report.origin_in_joint_range and report.certificate.method == "random-search"
+        assert len(search_calls) == 1
+
+
 class TestShiftPairs:
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_long_jordan_blocks_raise_no_warning(self, n):
+        # the left and right eigenvectors of J_n(2) are numerically orthogonal, so
+        # its eigenvalue condition number overflows; the suite makes that warning an error
+        a, b = pl.invertible_shift_pair(n)
+        direct = pl.taylor_spectrum(a, b)
+        ratio = pl.spectrum_invertible_characterization(a, b)
+        assert pl.spectra_match(direct.points, ratio.points)[0]
+        assert direct.multiplicities == ratio.multiplicities == (n, n)
+
     def test_n1_values(self):
         a, b = pl.shift_truncation_pair(1)
         np.testing.assert_allclose(a, np.diag([1.0, 0.0]))
