@@ -166,6 +166,11 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, 
     return spectrum, [q for *_, q in found]
 
 
+def _schur_joint_spectrum(a, b, tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
+    """:func:`_joint_spectrum` on the Schur subspaces of A's eigenvalue clusters."""
+    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+
+
 def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     """Taylor spectrum as the set of joint eigenvalues, with multiplicities.
 
@@ -174,7 +179,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     along the clusters of B restricted to it into the joint points.
     """
     a, b = _require_commuting(a, b)
-    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)[0]
+    return _schur_joint_spectrum(a, b, tol)[0]
 
 
 def spectra_match(points1, points2) -> tuple[bool, list]:
@@ -269,7 +274,7 @@ def commuting_structure(
     pass.
     """
     a, b = _require_commuting(a, b)
-    spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    spectrum, bases = _schur_joint_spectrum(a, b, tol)
     return _commuting_structure(a, b, spectrum, bases, tol), spectrum
 
 
@@ -355,12 +360,15 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     isotropic certificate.  On a singular pencil it is built from the
     polynomial kernel vector that proved (i), so one kernel walk serves
     both.  A valid separation certificate of the hull proves (ii) false.
-    Otherwise, on a normal pair (|M M* - M* M|_F <= ``COMMUTE_REL_TOL``
-    |M|_F^2 for M = A, B), W(A, B) is the convex hull of the joint points
-    (Horn & Johnson, Thm 2.5.5), and the vector of their min-norm convex
-    combination (``"joint-eigenvectors"``) decides (ii) alone; a hull
-    verdict "inside" that it fails raises :class:`OracleDisagreement`.
-    Only a pair that is not normal runs
+    Otherwise, on a normal pair (M commutes with M* for M = A, B, as
+    :func:`check_commuting` tests it), W(A, B) is the convex hull of the
+    joint points (Horn & Johnson, Thm 2.5.5), and the vector of their
+    min-norm convex combination (``"joint-eigenvectors"``) decides (ii)
+    alone, once the joint eigenspaces it is built from check as
+    orthonormal and invariant; a hull verdict "inside" that it misses by
+    more than the two oracles' tolerances allow raises
+    :class:`OracleDisagreement`.  Only a pair that is not normal, or whose
+    eigenspaces fail that check, runs
     :func:`~pencillab.numrange.isotropic_search`.  Condition (iii) is the
     verdict of :func:`~pencillab.numrange.conv_hull_membership`.
     """
@@ -368,20 +376,13 @@ def condition_matrix(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ConditionMatri
     return _condition_matrix(as_matrix(a), as_matrix(b), koszul, None, tol)
 
 
-def _is_normal(m: np.ndarray) -> bool:
-    """Whether |M M* - M* M|_F <= ``COMMUTE_REL_TOL`` |M|_F^2."""
-    adjoint = m.conj().T
-    return float(np.linalg.norm(m @ adjoint - adjoint @ m)) <= (
-        COMMUTE_REL_TOL * float(np.linalg.norm(m)) ** 2)
-
-
 def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
                       tol: ToleranceConfig) -> ConditionMatrix:
     """The body of :func:`condition_matrix` on a validated pair.
 
     ``koszul`` is the pair's assessment at the origin, and ``joint`` its
-    (spectrum, bases) from :func:`_joint_spectrum`, or None when the
-    caller has not computed them.
+    (spectrum, bases) from :func:`_schur_joint_spectrum`, or None when
+    the caller has not computed them.
     """
     from . import numrange
 
@@ -396,18 +397,13 @@ def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
     if cond_i:
         certificate = numrange._singular_certificate(p, tol, singularity.kernel)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
-        if _is_normal(a) and _is_normal(b):
-            spectrum, bases = joint or _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+        if check_commuting(a, a.conj().T) and check_commuting(b, b.conj().T):
+            spectrum, bases = joint or _schur_joint_spectrum(a, b, tol)
             certificate = numrange._joint_eigenvector_certificate(a, b, spectrum.points, bases)
-            if membership.verdict == "inside" and not certificate.is_valid(a, b):
-                raise OracleDisagreement(
-                    f"the hull of W(A, B) holds the origin, but the joint eigenvectors of the "
-                    f"normal pair give residuals {certificate.residual_a:.3e} and "
-                    f"{certificate.residual_b:.3e}",
-                    verdicts={"hull": membership.verdict,
-                              "residuals": (certificate.residual_a, certificate.residual_b)})
-        else:
+        if certificate is None:
             certificate = numrange.isotropic_search(a, b, tol)
+        elif membership.verdict == "inside" and not certificate.is_valid(a, b):
+            _require_hull_agreement(a, b, certificate, membership)
     cond_ii = certificate is not None and certificate.is_valid(a, b)
     certificate = certificate if cond_ii else None
 
@@ -439,6 +435,29 @@ def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
     )
 
 
+def _require_hull_agreement(a, b, certificate, membership) -> None:
+    """Raise :class:`OracleDisagreement` if the joint-eigenvector vector misses an "inside" hull.
+
+    The hull's point lies within ``INSIDE_SLACK`` times its scale of the
+    origin, and W(A, B) within 3 tau of the hull of the joint points (tau =
+    ``JOINT_BASIS_REL_TOL``, scaled coordinates), so the min-norm point of
+    that hull lies within slack * scale + 3 sqrt(2) tau of the origin, and
+    each residual of the vector, over its coefficient's norm, within 4 tau
+    more.  A vector that misses by less is left invalid, with (ii) false.
+    """
+    from . import numrange
+
+    miss = (np.array([certificate.residual_a, certificate.residual_b])
+            / numrange._coefficient_norms(a, b)[::2])
+    allowed = numrange.INSIDE_SLACK * membership.scale + 10.0 * numrange.JOINT_BASIS_REL_TOL
+    if miss.max() > allowed:
+        raise OracleDisagreement(
+            f"the hull of W(A, B) holds the origin, but the joint eigenvectors of the "
+            f"normal pair miss it by {miss.max():.3e} relative, above {allowed:.3e}",
+            verdicts={"hull": membership.verdict,
+                      "residuals": (certificate.residual_a, certificate.residual_b)})
+
+
 def commuting_analysis(
     a, b, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[KroneckerStructure, TaylorSpectrum, ConditionMatrix] | None:
@@ -458,7 +477,7 @@ def commuting_analysis(
     except NotCommuting:
         return None
     a, b = as_matrix(a), as_matrix(b)
-    spectrum, bases = _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+    spectrum, bases = _schur_joint_spectrum(a, b, tol)
     conditions = _condition_matrix(a, b, koszul, (spectrum, bases), tol)
     structure = _commuting_structure(a, b, spectrum, bases, tol)
     if bool(structure.col_minimal or structure.row_minimal) != conditions.pencil_singular:

@@ -17,7 +17,8 @@ answers: convex weights on at most five range points that average to the
 origin, or a separating direction of the four-matrix Hermitian
 combination.  The range of a commuting normal pair is the convex hull of
 its joint points, so there the joint-eigenvector vector decides both
-answers alone.
+answers alone, once its joint eigenspaces check as orthonormal and
+invariant.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .linalg import deficient_at_every_node, node_stack
 from .pencil import Pencil, as_matrix
 
 CERT_REL_TOL = 1e-8
+# a normal pair's joint eigenspaces must be orthonormal and invariant to this level,
+# relative to each coefficient's norm, before their vector decides (ii)
+JOINT_BASIS_REL_TOL = 1e-10
 BOUNDARY_TOL = 1e-7
 INSIDE_SLACK = 1e-8
 SEPARATION_SLACK = 1e-8
@@ -254,7 +258,7 @@ def _singular_certificate(p: Pencil, tol: ToleranceConfig,
     )
 
 
-def _joint_eigenvector_certificate(a, b, points, bases) -> IsotropicCertificate:
+def _joint_eigenvector_certificate(a, b, points, bases) -> IsotropicCertificate | None:
     """The vector of the min-norm point of the hull of a normal pair's joint points.
 
     A commuting pair of normal matrices is diagonalized by one unitary
@@ -266,10 +270,27 @@ def _joint_eigenvector_certificate(a, b, points, bases) -> IsotropicCertificate:
     vector x = sum_k sqrt(w_k) q_k has x* A x = sum_k w_k alpha_k and
     x* B x = sum_k w_k beta_k: it is isotropic exactly when the origin
     lies in the hull.
+
+    The construction needs only what it uses, and checks it: Q = [bases]
+    with |Q* Q - I|_F <= tau and |M Q - Q D_M|_F <= tau |M|_F for M = A, B
+    and D_M the diagonal of the points' coordinates, tau =
+    ``JOINT_BASIS_REL_TOL``.  Then each residual of x, over its
+    coefficient's norm, lies within 4 tau of the min-norm point's
+    coordinate, and every point of W(A, B) within 3 tau of the hull of the
+    joint points.  A pair whose bases fail this, although its coefficients
+    pass a normality test (the departure from normality of a near-normal
+    pair is divided by its eigenvalue gaps), returns None.
     """
+    q = np.hstack(bases)
     z = np.array(points, dtype=complex)
-    atoms = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 4) / _coefficient_norms(a, b)
-    x = np.column_stack([q[:, 0] for q in bases]) @ np.sqrt(_min_norm_weights(atoms))
+    diagonals = np.repeat(z, [basis.shape[1] for basis in bases], axis=0).T
+    norms = _coefficient_norms(a, b)[::2]
+    if not (np.linalg.norm(q.conj().T @ q - np.eye(len(q))) <= JOINT_BASIS_REL_TOL
+            and all(np.linalg.norm(m @ q - q * d) <= JOINT_BASIS_REL_TOL * s
+                    for m, d, s in zip((a, b), diagonals, norms))):
+        return None
+    atoms = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 4) / np.repeat(norms, 2)
+    x = np.column_stack([basis[:, 0] for basis in bases]) @ np.sqrt(_min_norm_weights(atoms))
     return _certificate(a, b, x, "joint-eigenvectors")
 
 

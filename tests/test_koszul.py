@@ -835,11 +835,46 @@ class TestNormalPairs:
         from pencillab import koszul
 
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert pl.is_doubly_commuting(jordan, np.eye(2)) and not koszul._is_normal(jordan)
+        assert pl.is_doubly_commuting(jordan, np.eye(2))
+        assert not koszul.check_commuting(jordan, jordan.T)
         a = np.block([[4.0 * jordan, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]])
         b = np.diag([1.0, 1.0, -1.0])
         report = pl.condition_matrix(a, b)
         assert not report.pencil_singular and report.range_is_plane
+        assert report.origin_in_joint_range and report.certificate.method == "random-search"
+        assert len(search_calls) == 1
+
+
+    @staticmethod
+    def _near_normal_pair():
+        # A has a departure from normality of 5e-8 over an eigenvalue gap of 1e-3,
+        # so its commutator with A* passes the normality test, but the Schur
+        # vectors of 0.5 and 0.501 meet at 5e-5; B = f(A) takes the eigenvalues
+        # to 1, 0.9995 and -0.99975, and weights (1/4, 1/4, 1/2) average the joint points to 0
+        a = np.array([[0.5, 5e-8, 0.0], [0.0, 0.501, 0.0], [0.0, 0.0, -0.5005]])
+        f = np.polyfit(np.diag(a), [1.0, 0.9995, -0.99975], 2)
+        return a, f[0] * a @ a + f[1] * a + f[2] * np.eye(3)
+
+    @staticmethod
+    def _hidden_jordan_pair():
+        # the double joint point (0, 1) carries J_2(8e-6), whose range is a disk
+        # of radius 4e-6: the origin lies 1e-6 outside the hull of the joint
+        # points but inside W(A, B); the first Schur vector e_1 is an exact eigenvector
+        a = np.diag([0.0, 0.0, 2e-6, 1.0])
+        a[0, 1] = 8e-6
+        return a, np.diag([1.0, 1.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("pair", ["_near_normal_pair", "_hidden_jordan_pair"])
+    def test_eigenspaces_that_are_not_orthonormal_and_invariant_are_searched(
+            self, pair, search_calls):
+        from pencillab import koszul, numrange
+
+        a, b = koszul._require_commuting(*getattr(self, pair)())
+        assert koszul.check_commuting(a, a.conj().T) and koszul.check_commuting(b, b.conj().T)
+        spectrum, bases = koszul._schur_joint_spectrum(a, b, pl.DEFAULT_TOL)
+        assert numrange._joint_eigenvector_certificate(a, b, spectrum.points, bases) is None
+        report = pl.condition_matrix(a, b)
+        assert report.membership.verdict == "inside"
         assert report.origin_in_joint_range and report.certificate.method == "random-search"
         assert len(search_calls) == 1
 
