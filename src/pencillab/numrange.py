@@ -285,7 +285,7 @@ def _joint_eigenvector_certificate(a, b, points, bases) -> IsotropicCertificate 
     z = np.array(points, dtype=complex)
     diagonals = np.repeat(z, [basis.shape[1] for basis in bases], axis=0).T
     norms = _coefficient_norms(a, b)[::2]
-    if not (np.linalg.norm(q.conj().T @ q - np.eye(len(q))) <= JOINT_BASIS_REL_TOL
+    if not (np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= JOINT_BASIS_REL_TOL
             and all(np.linalg.norm(m @ q - q * d) <= JOINT_BASIS_REL_TOL * s
                     for m, d, s in zip((a, b), diagonals, norms))):
         return None

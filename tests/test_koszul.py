@@ -844,7 +844,6 @@ class TestNormalPairs:
         assert report.origin_in_joint_range and report.certificate.method == "random-search"
         assert len(search_calls) == 1
 
-
     @staticmethod
     def _near_normal_pair():
         # A has a departure from normality of 5e-8 over an eigenvalue gap of 1e-3,
@@ -876,6 +875,15 @@ class TestNormalPairs:
         report = pl.condition_matrix(a, b)
         assert report.membership.verdict == "inside"
         assert report.origin_in_joint_range and report.certificate.method == "random-search"
+        assert len(search_calls) == 1
+
+    def test_the_analyze_path_searches_a_near_normal_pair(self, search_calls):
+        # commuting_analysis hands its own joint spectrum to the same gate
+        from pencillab import koszul
+
+        _, _, conditions = koszul.commuting_analysis(*self._near_normal_pair())
+        assert conditions.origin_in_joint_range
+        assert conditions.certificate.method == "random-search"
         assert len(search_calls) == 1
 
 
