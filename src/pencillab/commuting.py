@@ -222,7 +222,7 @@ def verify_necessity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     from .koszul import _require_commuting
 
-    a, b = _require_commuting(a, b)
+    a, b, _ = _require_commuting(a, b)
     structure = staircase_structure(Pencil(a, b), tol)
     ok, _ = commuting_feasible(structure)
     return ok

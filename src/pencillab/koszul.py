@@ -7,8 +7,10 @@ vanishes automatically because the composite is zero.  The spectrum comes
 from invariant subspaces, as in the simultaneous triangularization of a
 commuting pair, checked by shifted-pencil singularity and a determinant
 identity, or by the deflating subspaces of A - rho B for invertible pairs.
-Each decision is one batched SVD: of both Koszul differentials at a point,
-or of the shifted pairs of every joint point for their witnesses.
+Each decision is one batched SVD of one :func:`_shifted_stack`, built in
+one broadcast: of both Koszul differentials at a point, or of the shifted
+pairs of every joint point for their witnesses; ranks count singular
+values above the cutoff (:func:`~pencillab.linalg.rank_count`).
 
 The Kronecker structure of a commuting pencil is read off the same joint
 eigenvectors when every joint point is simple and each decision clears
@@ -31,8 +33,8 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
 from .kronecker import KroneckerStructure, SingularityEvidence, is_singular, staircase_structure
-from .linalg import (RANK_GUARD, invariant_subspaces, node_stack, numerical_rank,
-                     rank_decision, singular_values)
+from .linalg import (RANK_GUARD, TINY, invariant_subspaces, node_stack, numerical_rank,
+                     rank_count, rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -52,15 +54,15 @@ def check_commuting(a, b) -> bool:
 
 
 def _require_commuting(a, b):
-    """A and B validated once as square matrices of one size, which must commute."""
+    """A and B validated as square matrices of one size that commute, and (|A|_F, |B|_F)."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if not float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * scale:
+    norms = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if not float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * (norms[0] * norms[1]):
         raise NotCommuting("matrices do not commute within tolerance")
-    return a, b
+    return a, b, norms
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,16 @@ class KoszulAssessment:
 def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL) -> KoszulAssessment:
     """Exactness assessment of the pair shifted by (z1, z2).
 
-    The ranks are those of :func:`_shifted_blocks` with the cutoff anchored
-    at 1, so a shift annihilating a coefficient entirely still reads as
-    deficient and neither coefficient's scale swamps the other's.  d2 has
-    the singular values of d2* = [-S_B*; S_A*], 2n x n like d1 = [S_A; S_B].
+    d1 = [S_A; S_B] of :func:`_shifted_stack` and d2* = [-S_B*; S_A*], 2n x n
+    like d1 with d2's singular values, fill one stack for one values-only
+    SVD; each rank counts singular values above the cutoff anchored at 1.
     """
-    a, b = _require_commuting(a, b)
+    a, b, norms = _require_commuting(a, b)
     n = a.shape[0]
-    sa, sb = _shifted_blocks(a, b, z1, z2)
-    sigma = singular_values([np.vstack([sa, sb]), np.vstack([-sb.conj().T, sa.conj().T])])
-    rank_d1, rank_d2 = (int(r) for r in rank_decision(sigma, (2 * n, n), 1.0, tol)[0])
+    stack = np.empty((2, 2 * n, n), dtype=complex)
+    _shifted_stack(a, b, norms, [(z1, z2)], stack[:1])
+    stack[1, :n], stack[1, n:] = -stack[0, n:].conj().T, stack[0, :n].conj().T
+    rank_d1, rank_d2 = rank_count(singular_values(stack), (2 * n, n), 1.0, tol).tolist()
     return KoszulAssessment(
         point=(complex(z1), complex(z2)),
         rank_d1=rank_d1,
@@ -114,14 +116,21 @@ def _close(p, q) -> bool:
     return all(abs(x - y) <= POINT_MATCH_REL_TOL * max(1.0, abs(x)) for x, y in zip(p, q))
 
 
-def _shifted_blocks(a, b, z1: complex, z2: complex) -> tuple[np.ndarray, np.ndarray]:
-    """A - z1 I and B - z2 I, each divided by its own term size |M|_F + |z| sqrt(n)."""
-    n = a.shape[0]
-    blocks = (np.array(a), np.array(b))
-    for shifted, m, z in zip(blocks, (a, b), (z1, z2)):
-        shifted.flat[:: n + 1] -= complex(z)
-        shifted /= max(float(np.linalg.norm(m)) + abs(z) * np.sqrt(n), np.finfo(float).tiny)
-    return blocks
+def _shifted_stack(a, b, norms, points, out: np.ndarray) -> np.ndarray:
+    """``out`` (m x 2n x n) filled with [S_A; S_B] at each of m points (z1, z2), and returned.
+
+    S_M = M - z I over its term size |M|_F + |z| sqrt(n) (``norms`` holds the
+    |M|_F): with the cutoff anchored at 1, a shift annihilating a coefficient
+    still reads as deficient, and neither scale swamps the other.
+    """
+    n, m = a.shape[0], len(points)
+    blocks = out.reshape(m, 2, n, n)
+    blocks[:] = a, b
+    blocks.reshape(m, 2, n * n)[..., :: n + 1] -= np.array(points, dtype=complex)[..., None]
+    root_n = np.sqrt(n)
+    blocks /= np.array([[max(norm + abs(z) * root_n, TINY) for norm, z in zip(norms, point)]
+                        for point in points])[..., None, None]
+    return out
 
 
 def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
@@ -132,14 +141,15 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, 
     one eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
     m = width of Q (W = I_1 for a one-column U).  Its witness is a common
     eigenvector, whose rank test is the Koszul non-exactness check, from one
-    SVD of every point's stacked :func:`_shifted_blocks`; the first point
-    without one raises :class:`OracleDisagreement`.  Returns the spectrum
-    and each point's Q, the basis of its joint generalized eigenspace.
+    SVD of every point's :func:`_shifted_stack`, built in one broadcast; the
+    first point without one raises :class:`OracleDisagreement`.  Returns the
+    spectrum and each point's Q, the basis of its joint generalized eigenspace.
     """
     n = a.shape[0]
     if not n:
         return TaylorSpectrum((), (), (), ()), []
-    b_scale = max(1.0, float(np.linalg.norm(b)) / np.sqrt(n))
+    norms = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    b_scale = max(1.0, norms[1] / np.sqrt(n))
     found = []
     for u in bases:
         for w in ((np.eye(1),) if u.shape[1] == 1
@@ -149,19 +159,20 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, 
             found.append((complex(np.trace(q.conj().T @ a @ q)) / m,
                           complex(np.trace(q.conj().T @ b @ q)) / m, q))
     found.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-    stacked = np.array([np.vstack(_shifted_blocks(a, b, z1, z2)) for z1, z2, _ in found],
-                       dtype=complex).reshape(len(found), 2 * n, n)
-    _, sigma, vh = np.linalg.svd(stacked)
-    for (z1, z2, _), rank in zip(found, rank_decision(sigma, (2 * n, n), 1.0, tol)[0]):
+    points = [(z1, z2) for z1, z2, _ in found]
+    stack = _shifted_stack(a, b, norms, points, np.empty((len(points), 2 * n, n), dtype=complex))
+    _, sigma, vh = np.linalg.svd(stack)
+    for (z1, z2), rank in zip(points, rank_count(sigma, (2 * n, n), 1.0, tol)):
         if rank >= n:
             raise OracleDisagreement(f"no common eigenvector at ({z1}, {z2})", point=(z1, z2))
-    witnesses = [v[-1].conj() for v in vh]
+    witnesses = vh[:, -1].conj()
+    residuals = [np.linalg.norm(witnesses @ m.T - z[:, None] * witnesses, axis=1).tolist()
+                 for m, z in zip((a, b), np.array(points).T)]
     spectrum = TaylorSpectrum(
-        tuple((z1, z2) for z1, z2, _ in found),
+        tuple(points),
         tuple(q.shape[1] for *_, q in found),
         tuple(witnesses),
-        tuple((float(np.linalg.norm(a @ x - z1 * x)), float(np.linalg.norm(b @ x - z2 * x)))
-              for (z1, z2, _), x in zip(found, witnesses)),
+        tuple(zip(*residuals)),
     )
     return spectrum, [q for *_, q in found]
 
@@ -178,7 +189,7 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     each eigenvalue cluster of A is invariant under B too, and splits
     along the clusters of B restricted to it into the joint points.
     """
-    a, b = _require_commuting(a, b)
+    a, b, _ = _require_commuting(a, b)
     return _schur_joint_spectrum(a, b, tol)[0]
 
 
@@ -212,16 +223,16 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     ``DET_IDENTITY_REL_TOL`` relative, which no tolerance setting moves.
     A failure raises :class:`OracleDisagreement`.
     """
-    direct = taylor_spectrum(a, b, tol)  # validates the pair
-    a, b = as_matrix(a), as_matrix(b)
+    a, b, _ = _require_commuting(a, b)
+    direct = _schur_joint_spectrum(a, b, tol)[0]
     n = a.shape[0]
     if not n:
         return direct
     for z1, z2 in direct.points:
-        if not is_singular(Pencil(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
+        if not is_singular(Pencil._of_valid(a - z1 * np.eye(n), b - z2 * np.eye(n)), tol):
             raise OracleDisagreement(f"regular shifted pencil at ({z1}, {z2})", point=(z1, z2))
-    nodes, stack, anchors = node_stack(Pencil(a, b))
-    shift = 2.0 * max(float(anchors[0]), np.finfo(float).tiny)  # every node has the same |lam|
+    nodes, stack, anchors = node_stack(Pencil._of_valid(a, b))
+    shift = 2.0 * max(float(anchors[0]), TINY)  # every node has the same |lam|
     lhs = np.linalg.det(stack / shift - np.eye(n))
     z1, z2 = np.array(direct.points).T
     rhs = np.prod(((z1 + nodes[:, None] * z2) / shift - 1.0) ** np.array(direct.multiplicities), 1)
@@ -243,7 +254,7 @@ def spectrum_invertible_characterization(
     place of the Schur form of A keeps this independent of
     :func:`taylor_spectrum`.  Only valid for invertible A and B.
     """
-    a, b = _require_commuting(a, b)
+    a, b, _ = _require_commuting(a, b)
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
@@ -273,7 +284,7 @@ def commuting_structure(
     structure.  Returns the structure and the Taylor spectrum of the same
     pass.
     """
-    a, b = _require_commuting(a, b)
+    a, b, _ = _require_commuting(a, b)
     spectrum, bases = _schur_joint_spectrum(a, b, tol)
     return _commuting_structure(a, b, spectrum, bases, tol), spectrum
 

@@ -24,6 +24,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidStructure, RankDecisionUnstable, TransformUnavailable
 from .linalg import (
     RANK_GUARD,
+    TINY,
     disc_clusters,
     eigenvalue_discs,
     node_stack,
@@ -363,7 +364,7 @@ def _kernel_walk(p: Pencil, tol: ToleranceConfig, start: int = 0):
     for k in range(start, p.cols + 1):
         t = _toeplitz_resultant(p, k, rho)
         _, sigma, vh = np.linalg.svd(t, full_matrices=False)
-        ratio = sigma[-1] / max(rank_cutoff(sigma[0], t.shape, scale, tol), np.finfo(float).tiny)
+        ratio = sigma[-1] / max(rank_cutoff(sigma[0], t.shape, scale, tol), TINY)
         if ratio * RANK_GUARD < 1.0:
             x = vh[-1].conj()
             yield PolynomialKernel(k, x, float(np.linalg.norm(t @ x)),
@@ -579,7 +580,7 @@ def _sweep_verdict(p: Pencil, sweep, tol: ToleranceConfig) -> SingularityEvidenc
     n = p.rows
     sigma = singular_values(stack)
     cutoffs = rank_cutoff(sigma[:, 0], (n, n), anchors, tol)
-    ratios = sigma[:, -1] / np.maximum(cutoffs, np.finfo(float).tiny)
+    ratios = sigma[:, -1] / np.maximum(cutoffs, TINY)
     k = int(np.argmax(ratios))
     if ratios[k] > RANK_GUARD:  # every singular value at lam* clears the cutoff by ratios[k]
         return SingularityEvidence(False, n, float(ratios[k]), len(nodes), complex(nodes[k]),

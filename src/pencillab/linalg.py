@@ -44,6 +44,7 @@ RANK_GUARD = 10.0
 CLUSTER_RADIUS_FACTOR = 100.0
 # Rings stay below 1e-3 up to Jordan-4, while a 0.1 cap linked eigenvalues 0.2 apart.
 CLUSTER_RADIUS_CAP = 0.01
+TINY = float(np.finfo(float).tiny)  # the floor of every divisor that can be zero
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,13 @@ def rank_decision(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig
     sigma = np.abs(np.asarray(sigma, dtype=float))
     if sigma.ndim == 1:
         cutoff = float(rank_cutoff(float(sigma.max(initial=0.0)), shape, scale, tol))
-        closeness = np.minimum(sigma, cutoff) / np.maximum(np.maximum(sigma, cutoff),
-                                                           np.finfo(float).tiny)
+        closeness = np.minimum(sigma, cutoff) / np.maximum(np.maximum(sigma, cutoff), TINY)
         nearest = float(closeness.max(initial=0.0))
         margin = 1.0 / nearest if nearest else math.inf
         return int(np.count_nonzero(sigma > cutoff)), cutoff, margin
     cutoff = rank_cutoff(sigma.max(axis=-1, initial=0.0), shape, scale, tol)
     cut = cutoff[..., None]
-    closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), np.finfo(float).tiny)
+    closeness = np.minimum(sigma, cut) / np.maximum(np.maximum(sigma, cut), TINY)
     with np.errstate(divide="ignore"):
         margin = 1.0 / closeness.max(axis=-1, initial=0.0)
     return np.count_nonzero(sigma > cut, axis=-1), cutoff, margin
@@ -133,10 +133,16 @@ def rank_cutoff(sigma_1, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig
     return tol.rank_rel_tol * np.maximum(sigma_1, scale) * max(shape)
 
 
+def rank_count(sigma, shape: tuple[int, int], scale=0.0, tol: ToleranceConfig = DEFAULT_TOL):
+    """The rank of :func:`rank_decision` without its margin, from an SVD's singular values."""
+    cutoff = rank_cutoff(sigma.max(axis=-1, initial=0.0), shape, scale, tol)
+    return (sigma > cutoff[..., None]).sum(axis=-1)
+
+
 def numerical_rank(m, tol: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0) -> int:
     """Numerical rank of a matrix, with the cutoff anchored at ``scale``."""
     m = np.asarray(m, dtype=complex)
-    return int(rank_decision(singular_values(m), m.shape, scale, tol)[0])
+    return int(rank_count(singular_values(m), m.shape, scale, tol))
 
 
 def null_space(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -145,7 +151,7 @@ def null_space(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, v = svd(m)
-    r = int(rank_decision(s, m.shape, 0.0, tol)[0])
+    r = int(rank_count(s, m.shape, 0.0, tol))
     return np.ascontiguousarray(v[:, r:])
 
 
@@ -201,20 +207,22 @@ def invariant_subspaces(a, b=None) -> tuple[SpectrumList, tuple[np.ndarray, ...]
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise RankDecisionUnstable(f"the Schur form failed: {exc}") from exc
     owners = owner(np.diag(form[0]), 1.0 if b is None else np.diag(form[1]))
-    bases = []
-    for root, size in zip(roots, spectrum.multiplicities):
-        select = (owners == root).astype(np.int32)
+    bases, x, y = [], [], []
+    for select, size in zip((owners == roots[:, None]).astype(np.int32), spectrum.multiplicities):
         if b is None:
-            _, z, x, *_, info = scipy.linalg.lapack.ztrsen(select, *form, job="N")
-            leading = owner(x, 1.0) == root
+            _, z, xk, *_, info = scipy.linalg.lapack.ztrsen(select, *form, job="N")
         else:
-            _, _, x, y, _, z, *_, info = scipy.linalg.lapack.ztgsen(select, *form, ijob=0)
-            leading = owner(x, y) == root
+            _, _, xk, yk, _, z, *_, info = scipy.linalg.lapack.ztgsen(select, *form, ijob=0)
+            y.append(yk)
         if info != 0:
             raise RankDecisionUnstable(f"reordering the Schur form failed with info {info}")
-        if not np.array_equal(leading, np.arange(len(a)) < size):
-            raise RankDecisionUnstable(f"reordering to a cluster of {size} led with {leading}")
+        x.append(xk)
         bases.append(z[:, :size])
+    # row k, the diagonal reordered for cluster k, must lead with exactly that cluster
+    leading = owner(np.array(x), 1.0 if b is None else np.array(y)) == roots[:, None]
+    if not np.array_equal(leading, np.arange(len(a)) < np.array(spectrum.multiplicities)[:, None]):
+        raise RankDecisionUnstable(f"reorderings to clusters of {spectrum.multiplicities} led "
+                                   f"with {leading}")
     return spectrum, tuple(bases)
 
 
@@ -298,8 +306,8 @@ def _clusters(alpha, beta, radius, scale: float):
         means = (np.bincount(labels, lam.real) + 1j * np.bincount(labels, lam.imag))[roots] / sizes
     finite = np.flatnonzero(~infinite)
     finite = finite[np.lexsort((means[finite].imag, means[finite].real))]
-    spectrum = SpectrumList(tuple(complex(z) for z in means[finite]),
-                            tuple(int(k) for k in sizes[finite]), int(sizes[infinite].sum()))
+    spectrum = SpectrumList(tuple(means[finite].tolist()), tuple(sizes[finite].tolist()),
+                            int(sizes[infinite].sum()))
     return spectrum, labels, roots[finite]
 
 
@@ -311,6 +319,8 @@ def _power_of_two(x: float) -> float:
 def _components(linked: np.ndarray) -> np.ndarray:
     """Connected-component labels of a symmetric reflexive adjacency matrix."""
     labels = np.arange(len(linked))
+    if np.count_nonzero(linked) == len(linked):  # every vertex is linked to itself alone
+        return labels
     while True:
         spread = np.where(linked, labels[None, :], len(linked)).min(axis=1)
         if np.array_equal(spread, labels):
@@ -326,16 +336,16 @@ def node_stack(p: Pencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The node sweep of a pencil: its nodes, A + lam_k B at each as one stack, and each anchor.
 
     max(rows, cols) + 1 equally spaced nodes lie on the circle whose radius
-    |A|_F / |B|_F, clipped to [1e-3, 1e3], balances the two terms: more
-    nodes than the points where A + lam B can lose rank (Van Dooren, LAA
-    1979), and for a square pencil one more than the degree of its
-    determinant.  The anchor |A| + |lam_k| |B| is the size of the terms
+    |A|_F / |B|_F, clipped in plain floats to [1e-3, 1e3], balances the two
+    terms: more nodes than the points where A + lam B can lose rank (Van
+    Dooren, LAA 1979), and for a square pencil one more than the degree of
+    its determinant.  The anchor |A| + |lam_k| |B| is the size of the terms
     summed, so a node on an eigenvalue, where the matrix is rounding noise
     of that size, reads deficient, while an unbalanced pencil's anchor is
     not overstated.
     """
     count = max(p.shape) + 1
-    radius = float(np.clip(max(p.norms[0], 1e-12) / max(p.norms[1], 1e-12), 1e-3, 1e3))
+    radius = min(max(max(p.norms[0], 1e-12) / max(p.norms[1], 1e-12), 1e-3), 1e3)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     stack = nodes[:, None, None] * p.b
     stack += p.a
@@ -353,7 +363,7 @@ def deficient_at_every_node(stack, anchors, tol: ToleranceConfig) -> bool:
     """
     diagonal = np.abs(np.diagonal(np.linalg.qr(stack, mode="raw")[0], axis1=-2, axis2=-1))
     cutoffs = rank_cutoff(diagonal.max(axis=-1), stack.shape[1:], anchors, tol)
-    ratios = diagonal.min(axis=-1) / np.maximum(cutoffs, np.finfo(float).tiny)
+    ratios = diagonal.min(axis=-1) / np.maximum(cutoffs, TINY)
     return bool(np.all(ratios * RANK_GUARD < 1.0))
 
 
@@ -369,7 +379,7 @@ def pencil_determinant_coefficients(p: Pencil) -> np.ndarray:
         raise ValueError("determinant interpolation needs a square pencil")
     n = p.rows
     s = p.norm_scale() or 1.0
-    nodes, stack, _ = node_stack(Pencil(p.a / s, p.b / s))
+    nodes, stack, _ = node_stack(Pencil._of_valid(p.a / s, p.b / s))
     return np.fft.fft(np.linalg.det(stack)) / (n + 1) / abs(nodes[0]) ** np.arange(n + 1)
 
 

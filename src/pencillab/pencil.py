@@ -20,7 +20,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.array(data, dtype=complex, order="C")
     if m.ndim != 2:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         bad = np.argwhere(~np.isfinite(m))
         i, j = bad[0]
         raise InvalidMatrix(f"non-finite entry at row {i}, column {j}")
@@ -43,6 +43,14 @@ class Pencil:
                 f"pencil coefficients must share a shape, got {self.a.shape} and {self.b.shape}"
             )
 
+    @classmethod
+    def _of_valid(cls, a: np.ndarray, b: np.ndarray) -> "Pencil":
+        """The pencil of two :func:`as_matrix` arrays of one shape, taken without copy or check."""
+        pencil = object.__new__(cls)
+        a.flags.writeable = b.flags.writeable = False
+        pencil.__dict__.update(a=a, b=b)
+        return pencil
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
@@ -64,7 +72,7 @@ class Pencil:
         return self.a + lam * self.b
 
     def transposed(self) -> "Pencil":
-        return Pencil(self.a.T.copy(), self.b.T.copy())
+        return Pencil._of_valid(self.a.T.copy(), self.b.T.copy())
 
     @cached_property
     def norms(self) -> tuple[float, float]:
@@ -79,7 +87,7 @@ class Pencil:
 
     def balanced(self) -> tuple["Pencil", float]:
         """(A, rho B) and rho."""
-        return Pencil(self.a, self.rho * self.b), self.rho
+        return Pencil._of_valid(self.a, self.rho * self.b), self.rho
 
     def norm_scale(self) -> float:
         """A common magnitude for both coefficients, used to relativize cutoffs."""

@@ -10,7 +10,6 @@ import pencillab as pl
 from pencillab import cli
 from pencillab.generators import random_commuting_pair
 from pencillab.io import pencil_from_json
-from pencillab.koszul import _shifted_blocks
 from pencillab.kronecker import KroneckerStructure
 from pencillab.linalg import numerical_rank, rank_decision, svd
 
@@ -271,7 +270,7 @@ class TestSpectrumOracles:
         true = koszul.taylor_spectrum(a, b)
         assert true.multiplicities == (1, 2)
         moved = dataclasses.replace(true, multiplicities=(2, 1))
-        monkeypatch.setattr(koszul, "taylor_spectrum", lambda a, b, tol=pl.DEFAULT_TOL: moved)
+        monkeypatch.setattr(koszul, "_schur_joint_spectrum", lambda a, b, tol: (moved, None))
         with pytest.raises(pl.OracleDisagreement):
             pl.spectrum_via_singularity(a, b)
 
@@ -308,18 +307,62 @@ class TestSpectrumOracles:
             assert pl.koszul_at(a, b, z1, z2, tol).exact
 
 
+def _shifted_oracle(a, b, z1, z2):
+    """A - z1 I and B - z2 I from A, B and z alone, each over its term size |M|_F + |z| sqrt(n)."""
+    blocks = []
+    for m, z in ((a, z1), (b, z2)):
+        m = np.asarray(m, dtype=complex)
+        shifted = m.copy()
+        shifted[np.diag_indices(len(m))] -= z
+        size = np.linalg.norm(m) + abs(z) * np.sqrt(len(m))
+        blocks.append(shifted / max(size, np.finfo(float).tiny))
+    return blocks
+
+
 def _witness_oracle(a, b, z1, z2, tol):
     """The per-point witness computation: rank and smallest right singular vector of one stack."""
-    stacked = np.vstack(_shifted_blocks(a, b, z1, z2))
+    stacked = np.vstack(_shifted_oracle(a, b, z1, z2))
     _, s, v = svd(stacked)
     return int(rank_decision(s, stacked.shape, 1.0, tol)[0]), v[:, -1]
 
 
 def _koszul_rank_oracle(a, b, z1, z2, tol):
     """Ranks of d1 = [S_A; S_B] and of d2 = [-S_B, S_A], each from its own SVD."""
-    sa, sb = _shifted_blocks(a, b, z1, z2)
+    sa, sb = _shifted_oracle(a, b, z1, z2)
     return (numerical_rank(np.vstack([sa, sb]), tol, scale=1.0),
             numerical_rank(np.hstack([-sb, sa]), tol, scale=1.0))
+
+
+def _ulp_edge_values(count):
+    """Seeded complex z whose numpy and Python moduli differ, where the platform has any."""
+    rng = np.random.default_rng(3001)
+    draws = [complex(*rng.standard_normal(2)) for _ in range(2000)]
+    edge = [z for z in draws if float(np.abs(np.complex128(z))) != abs(z)]
+    return (edge or draws)[:count]
+
+
+def _assert_batched_paths_match_oracles(a, b, off_points, tol):
+    """taylor_spectrum and koszul_at against the per-point oracles, on the pair and off it.
+
+    Ranks and witnesses are bit for bit those of one SVD per point;
+    residuals, a batched product, agree to rounding.  Returns the spectrum.
+    """
+    n = a.shape[0]
+    scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
+    ts = pl.taylor_spectrum(a, b, tol)
+    assert sum(ts.multiplicities) == n
+    for (z1, z2), w, residual in zip(ts.points, ts.witnesses, ts.residuals):
+        rank, x = _witness_oracle(a, b, z1, z2, tol)
+        assert rank < n
+        np.testing.assert_array_equal(w, x)
+        np.testing.assert_allclose(
+            residual, (np.linalg.norm(a @ x - z1 * x), np.linalg.norm(b @ x - z2 * x)),
+            rtol=0.0, atol=1e-14 * scale)
+    for z1, z2 in ts.points + tuple(off_points):
+        got = pl.koszul_at(a, b, z1, z2, tol)
+        assert (got.rank_d1, got.rank_d2) == _koszul_rank_oracle(a, b, z1, z2, tol)
+        assert got.exact == (got.rank_d1 == got.rank_d2 == n)
+    return ts
 
 
 class TestBatchedOracles:
@@ -328,22 +371,57 @@ class TestBatchedOracles:
         several = 0
         for kind in ["poly", "poly-singular", "blockdiag", "zero-block"] * 12:
             a, b = random_commuting_pair(rng, max_n=8, kind=kind)
-            n = a.shape[0]
-            scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-            ts = pl.taylor_spectrum(a, b, tol)
-            several += len(ts.points) > 1
-            for (z1, z2), w, residual in zip(ts.points, ts.witnesses, ts.residuals):
-                rank, x = _witness_oracle(a, b, z1, z2, tol)
-                assert rank < n
-                assert abs(np.vdot(x, w)) >= 1.0 - 1e-12
-                np.testing.assert_allclose(
-                    residual, (np.linalg.norm(a @ x - z1 * x), np.linalg.norm(b @ x - z2 * x)),
-                    rtol=1e-9, atol=1e-14 * scale)
             off = (complex(*rng.standard_normal(2)) * 3.0, complex(*rng.standard_normal(2)) * 3.0)
-            for z1, z2 in ts.points + (off,):
-                got = pl.koszul_at(a, b, z1, z2, tol)
-                assert (got.rank_d1, got.rank_d2) == _koszul_rank_oracle(a, b, z1, z2, tol)
+            ts = _assert_batched_paths_match_oracles(a, b, [off], tol)
+            several += len(ts.points) > 1
         assert several >= 12
+
+    @pytest.mark.parametrize("kind", ["poly", "poly-singular", "blockdiag", "zero-block",
+                                      "structured"])
+    @pytest.mark.parametrize("c, d", [(1e-3, 1e3), (1e3, 1.0), (1.0, 1e-3)])
+    def test_every_kind_at_scaled_coefficients(self, tol, kind, c, d):
+        rng = np.random.default_rng(2203)
+        for _ in range(3):
+            a, b = random_commuting_pair(rng, max_n=7, kind=kind)
+            _assert_batched_paths_match_oracles(c * a, d * b, [(0.0, 0.0), (c, -1j * d)], tol)
+
+    def test_empty_and_one_by_one_pairs(self, tol):
+        empty = np.zeros((0, 0))
+        assert _assert_batched_paths_match_oracles(empty, empty, [(1.0, 2.0)], tol).points == ()
+        got = pl.koszul_at(empty, empty, 1.0, 2.0, tol)
+        assert (got.rank_d1, got.rank_d2, got.exact) == (0, 0, True)
+        rng = np.random.default_rng(2204)
+        for _ in range(5):
+            a, b = (np.array([[complex(*rng.standard_normal(2))]]) for _ in range(2))
+            ts = _assert_batched_paths_match_oracles(a, b, [(a[0, 0], 0.5), (0.0, b[0, 0])], tol)
+            assert ts.points == ((a[0, 0], b[0, 0]),)
+        zero = np.zeros((1, 1))
+        assert _assert_batched_paths_match_oracles(zero, zero, [(1.0, 0.0)], tol).points == ((0, 0),)
+
+    def test_shifts_far_beyond_the_coefficients(self, tol):
+        # the term size |M|_F + |z| sqrt(n) is |z| sqrt(n) to rounding
+        a, b = random_commuting_pair(np.random.default_rng(2205), max_n=6, kind="poly")
+        far = [(1e8, 0.0), (0.0, -1e8j), (3e12 * np.exp(0.3j), 1e9 + 2e9j)]
+        _assert_batched_paths_match_oracles(a, b, far, tol)
+        ts = _assert_batched_paths_match_oracles(a + 1e7 * np.eye(len(a)), b, [], tol)
+        assert all(abs(z1) > 1e6 * np.linalg.norm(a) / len(a) for z1, _ in ts.points)
+
+    def test_points_whose_numpy_and_python_moduli_differ(self, tol):
+        # each term size takes |z| of the scalar it is given, as the per-point oracle does:
+        # a modulus taken by numpy where Python's was due moves the witness bits
+        def differ(z):
+            return float(np.abs(np.complex128(z))) != abs(complex(z))
+
+        edge = _ulp_edge_values(4)
+        rng = np.random.default_rng(2206)
+        hits = 0
+        for _ in range(4):
+            u = np.linalg.qr(complex_matrix(rng, 4, 4))[0]
+            a, b = (u @ np.diag(rng.permutation(edge)) @ u.conj().T for _ in range(2))
+            off = [(z, w) for z in edge[:2] for w in (edge[2], np.complex128(edge[3]))]
+            ts = _assert_batched_paths_match_oracles(a, b, off, tol)
+            hits += sum(differ(z) for point in ts.points for z in point)
+        assert hits or not differ(edge[0])  # computed points on the edge, where it exists
 
     def test_one_svd_per_decision(self, monkeypatch):
         calls = []
@@ -868,7 +946,7 @@ class TestNormalPairs:
             self, pair, search_calls):
         from pencillab import koszul, numrange
 
-        a, b = koszul._require_commuting(*getattr(self, pair)())
+        a, b, _ = koszul._require_commuting(*getattr(self, pair)())
         assert koszul.check_commuting(a, a.conj().T) and koszul.check_commuting(b, b.conj().T)
         spectrum, bases = koszul._schur_joint_spectrum(a, b, pl.DEFAULT_TOL)
         assert numrange._joint_eigenvector_certificate(a, b, spectrum.points, bases) is None

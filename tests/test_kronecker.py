@@ -40,6 +40,30 @@ def _on_node_pencil(rank, shape, rng, turn=0.0):
     return pl.Pencil(u @ a @ v, u @ b @ v), lam
 
 
+class TestPencil:
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, -np.inf]],
+        [[1.0, complex(0.0, np.inf)], [0.0, 1.0]],
+        np.ones((2, 2, 2)),
+    ], ids=["nan", "inf", "complex-inf", "3-d"])
+    def test_public_constructor_validates_each_coefficient(self, bad):
+        good = np.eye(2)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(pl.InvalidMatrix):
+                pl.Pencil(a, b)
+
+    def test_derived_pencils_are_read_only_and_equal_to_rebuilt_ones(self, rng):
+        p = pl.Pencil(complex_matrix(rng, 3, 4), 1e3 * complex_matrix(rng, 3, 4))
+        q, rho = p.balanced()
+        for derived, rebuilt in ((q, pl.Pencil(p.a, rho * p.b)),
+                                 (p.transposed(), pl.Pencil(p.a.T, p.b.T))):
+            for m, want in ((derived.a, rebuilt.a), (derived.b, rebuilt.b)):
+                assert m.dtype == complex and m.flags.c_contiguous and not m.flags.writeable
+                np.testing.assert_array_equal(m, want)
+            assert derived.norms == rebuilt.norms
+
+
 class TestBlocks:
     def test_l_block_display(self):
         p = pl.build_block("L", 1)
