@@ -223,8 +223,8 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
     ``DET_IDENTITY_REL_TOL`` relative, which no tolerance setting moves.
     A failure raises :class:`OracleDisagreement`.
     """
-    a, b, _ = _require_commuting(a, b)
-    direct = _schur_joint_spectrum(a, b, tol)[0]
+    direct = taylor_spectrum(a, b, tol)  # validates the pair
+    a, b = as_matrix(a), as_matrix(b)
     n = a.shape[0]
     if not n:
         return direct
