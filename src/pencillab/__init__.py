@@ -5,7 +5,6 @@ computation backed by an independent cross-check."""
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     DecompositionError,
-    EqualityConditionFails,
     ImplicationViolated,
     InvalidMatrix,
     InvalidStructure,
@@ -21,7 +20,6 @@ from .errors import (
 from .pencil import Pencil, as_matrix
 from .linalg import (
     SpectrumList,
-    determinant,
     eigenvalues,
     null_space,
     numerical_rank,
@@ -64,16 +62,13 @@ from .numrange import (
     IsotropicCertificate,
     SeparationCertificate,
     conv_hull_membership,
-    is_doubly_commuting,
     isotropic_from_singular,
     isotropic_search,
-    jnr_sample,
     nr_contains,
     pencil_nr_is_plane,
 )
 from .commuting import (
     IntertwinerPattern,
-    MultiplierSearchResult,
     commuting_feasible,
     construct_multiplier,
     intertwiner_pattern,
@@ -81,7 +76,6 @@ from .commuting import (
     is_equality_case,
     matches_pattern,
     pattern_parameter_count,
-    search_multiplier,
     verify_necessity,
 )
 

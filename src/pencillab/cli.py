@@ -101,6 +101,9 @@ def analyze_pencil(p: Pencil, tol: ToleranceConfig) -> dict:
             "kernel_residual": kernel and kernel.residual,
         }
         report["coefficients_commute"] = commuting is not None
+        # |AB - BA|_F / (|A|_F |B|_F), the backward error the joint spectrum's discs take
+        report["commutator_residual"] = (None if conditions is None
+                                         else conditions.koszul.commutator_residual)
         if conditions is not None:
             report["condition_matrix"] = {
                 "0_zero_in_taylor": conditions.zero_in_taylor,

@@ -6,10 +6,13 @@ matrix: entry (i, j) names the parameter that M[i, j] equals, and -1
 marks an entry that is always zero.  The parameter count and the pattern
 test read that matrix, and a brute-force vectorized solver cross-checks
 it.  The module also covers the feasibility inequalities a commuting
-pair's Kronecker multiplicities must satisfy, and the deterministic
-equality-case construction of an invertible multiplier E making EA and EB
-commute: minimal-basis transforms to the canonical form and one explicit
-pattern matrix.
+pair's Kronecker multiplicities must satisfy, and one deterministic
+construction of an invertible multiplier E making EA and EB commute for
+every feasible square singular-only structure: minimal-basis transforms
+to the canonical form and the pattern at fixed generic integer
+parameters.  On every such structure with n <= 12 the feasible ones were
+exactly those whose pattern has a perfect matching (Hall 1935), and the
+tests check this up to n = 10; that is measured evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import EqualityConditionFails, InvalidStructure, TransformUnavailable
+from .errors import InvalidStructure, TransformUnavailable
 from .kronecker import KroneckerStructure, canonical_transforms, staircase_structure
 from .linalg import null_space, numerical_rank
 from .pencil import Pencil
 
 PATTERN_REL_TOL = 1e-8
+# seed of the fixed integer parameters of multiplier_pattern_matrix; no setting moves it
+PATTERN_PARAMETER_SEED = 0
 BRUTE_FORCE_MAX_DIM = 12
 
 
@@ -222,7 +227,7 @@ def verify_necessity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     from .koszul import _require_commuting
 
-    a, b, _ = _require_commuting(a, b)
+    a, b, *_ = _require_commuting(a, b)
     structure = staircase_structure(Pencil(a, b), tol)
     ok, _ = commuting_feasible(structure)
     return ok
@@ -234,87 +239,57 @@ def is_equality_case(s: KroneckerStructure) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the equality-case multiplier
-
-
-def _aligned_identity(size: int, small: int, big: int) -> np.ndarray:
-    """0/1 matrix taking each small instance's columns whole into big-instance rows.
-
-    Instances follow an identity walk, except that one which would straddle
-    two big instances is placed twice, flush with the end of the first and
-    at the start of the next.  Each instance pair then holds full diagonals
-    of one Toeplitz band, and the matrix stays invertible.
-    """
-    q = np.zeros((size, size))
-    for c0 in range(0, size, small):
-        edge = (c0 // big + 1) * big
-        for r0 in (c0,) if c0 + small <= edge else (edge - small, edge):
-            q[r0 : r0 + small, c0 : c0 + small] = np.eye(small)
-    return q
+# the multiplier
 
 
 def multiplier_pattern_matrix(s: KroneckerStructure) -> np.ndarray:
-    """The explicit pattern-conformant block permutation for the equality case.
+    """The intertwiner pattern of a feasible structure at fixed generic integer parameters.
 
-    Identity blocks walk each minimal-index family one group along: the
-    rows of row-family group i land on the columns of group i - 1, and the
-    rows of column-family group i on the columns of group i + 1.  The
-    equality case makes each pair square, and :func:`_aligned_identity`
-    keeps every instance inside one Toeplitz band.  The last column-family
-    rows close the corner on the last row-family columns with an
-    anti-identity, which any instance grid reads as a Hankel pattern.
+    Entry (i, j) is the value of the parameter that ``labels[i, j]`` of
+    :func:`intertwiner_pattern` names, and 0 where the label is -1, so P
+    solves A P B = B P A for the canonical pencil exactly.  The values are
+    one seeded draw from 1..999 per parameter, by
+    ``default_rng(PATTERN_PARAMETER_SEED)``.  det P is a polynomial in the
+    parameters, so where it is not identically zero a random integer point
+    avoids its zeros with high probability (Schwartz 1980; Zippel 1979);
+    structured values such as p_k = k + 1 leave most such P singular.
+    A structure outside the pattern's scope, or one that violates a
+    feasibility inequality of :func:`commuting_feasible`, raises
+    :class:`InvalidStructure`.
     """
-    n = _require_square_singular(s)
-    if not is_equality_case(s):
-        raise EqualityConditionFails("structure multiplicities are not in the equality case")
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    spans = {}
-    for axis in (0, 1):
-        pos = 0
-        for side, _, size, mult in _groups(s, axis):
-            spans.setdefault((axis, side), []).append((pos, size, size * mult))
-            pos += size * mult
-    delta_rows, delta_cols = spans[0, "delta"], spans[1, "delta"]
-    eps_rows, eps_cols = spans[0, "eps"], spans[1, "eps"]
-    p = np.zeros((n, n), dtype=complex)
-    for (r0, h, total), (c0, w, _) in [*zip(delta_rows[1:], delta_cols),
-                                       *zip(eps_rows, eps_cols[1:])]:
-        walk = _aligned_identity(total, w, h) if h >= w else _aligned_identity(total, h, w).T
-        p[r0 : r0 + total, c0 : c0 + total] = walk
-    (r0, _, total), (c0, _, _) = eps_rows[-1], delta_cols[-1]
-    p[r0 : r0 + total, c0 : c0 + total] = np.fliplr(np.eye(total))
+    feasible, violations = commuting_feasible(s)
+    if not feasible:
+        raise InvalidStructure(f"structure violates the feasibility inequalities: {violations}")
+    pattern = intertwiner_pattern(s)
+    values = np.random.default_rng(PATTERN_PARAMETER_SEED).integers(
+        1, 1000, pattern.parameter_count)
+    p = np.zeros(pattern.labels.shape, dtype=complex)
+    inside = pattern.labels >= 0
+    p[inside] = values[pattern.labels[inside]]
     return p
 
 
 def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Invertible E with EA and EB commuting, for equality-case pencils.
+    """Invertible E with EA and EB commuting, for a feasible singular-only pencil.
 
     The pencil's Kronecker form must consist of singular blocks only, with
-    multiplicities in the equality case; otherwise
-    :class:`EqualityConditionFails`.  With (S, T) from
+    multiplicities that satisfy :func:`commuting_feasible`; otherwise
+    :class:`InvalidStructure`.  With (S, T) from
     :func:`~pencillab.kronecker.canonical_transforms` of the balanced
-    pencil (A, rho B), rho = |A|_F / |B|_F, and P the explicit pattern
-    matrix, E = T P S; EA and EB commute exactly when EA and E (rho B) do.
-    E is checked, so an ill-conditioned input surfaces as
-    :class:`TransformUnavailable` rather than an unverified answer.
+    pencil (A, rho B), rho = |A|_F / |B|_F, and P from
+    :func:`multiplier_pattern_matrix`, E = T P S; EA and EB commute
+    exactly when EA and E (rho B) do.  E is checked, so an ill-conditioned
+    input, or a P that the fixed parameters happen to make singular,
+    surfaces as :class:`TransformUnavailable` rather than an unverified
+    answer.
     """
     if not p.is_square:
         raise ValueError(f"multiplier construction needs a square pencil, got {p.shape}")
     n = p.rows
     structure = staircase_structure(p, tol)
-    if not structure.singular_only:
-        raise EqualityConditionFails(
-            f"Kronecker form has regular blocks (jordan={structure.jordan}, "
-            f"nilpotent={structure.nilpotent}); the construction covers singular blocks only"
-        )
-    if not is_equality_case(structure):
-        raise EqualityConditionFails(
-            "block multiplicities satisfy the feasibility inequalities only strictly; "
-            "the explicit construction needs the equality case"
-        )
+    pattern = multiplier_pattern_matrix(structure)
     smat, tmat = canonical_transforms(p.balanced()[0], structure, tol)
-    e = tmat @ multiplier_pattern_matrix(structure) @ smat
+    e = tmat @ pattern @ smat
     ea, eb = e @ p.a, e @ p.b
     scale = max(float(np.linalg.norm(ea)) * float(np.linalg.norm(eb)), 1e-300)
     commutator = float(np.linalg.norm(ea @ eb - eb @ ea))
@@ -325,49 +300,3 @@ def construct_multiplier(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
             f"relative commutator {commutator / scale:.3e}"
         )
     return e
-
-
-CONJECTURE_LABEL = "conjecture-level evidence"
-
-
-@dataclass(frozen=True)
-class MultiplierSearchResult:
-    """Outcome of the randomized multiplier search (never a proof)."""
-
-    found: bool
-    multiplier: np.ndarray | None
-    attempts: int
-    evidence: str = CONJECTURE_LABEL
-
-
-def search_multiplier(
-    p: Pencil,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    restarts: int = 200,
-) -> MultiplierSearchResult:
-    """Randomized search for an invertible E with EA, EB commuting.
-
-    Samples the solution space of A E B = B E A; any invertible element
-    works, because multiplying that relation by E gives the commutator.
-    Output is conjecture-level evidence for the feasibility question, one
-    way or the other; failure proves nothing.
-    """
-    if not p.is_square:
-        raise ValueError(f"multiplier search needs a square pencil, got {p.shape}")
-    n = p.rows
-    dim, basis = intertwiner_space(p.a, p.b, tol)
-    if dim == 0:
-        return MultiplierSearchResult(found=False, multiplier=None, attempts=0)
-    rng = np.random.default_rng(tol.rng_seed)
-    scale_ab = max(p.norms[0] * p.norms[1], 1e-300)
-    for attempt in range(1, restarts + 1):
-        coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        e = sum(c * m for c, m in zip(coeffs, basis))
-        if numerical_rank(e, tol) != n:
-            continue
-        ea, eb = e @ p.a, e @ p.b
-        comm = float(np.linalg.norm(ea @ eb - eb @ ea))
-        norm_e = float(np.linalg.norm(e))
-        if comm <= 1e-8 * max(norm_e * norm_e * scale_ab, 1e-300):
-            return MultiplierSearchResult(found=True, multiplier=e, attempts=attempt)
-    return MultiplierSearchResult(found=False, multiplier=None, attempts=restarts)

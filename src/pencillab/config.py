@@ -25,8 +25,8 @@ class ToleranceConfig:
         lam of a pencil sweep).  A singular value within a factor 10 of
         the cutoff makes the decision untrustworthy.
     rng_seed
-        Seed for every internal randomized step (the isotropic and
-        multiplier searches), so results are reproducible.
+        Seed of the one internal randomized step, the isotropic search,
+        so its results are reproducible.
     """
 
     rank_rel_tol: float = 1e-10

@@ -10,7 +10,12 @@ class InvalidMatrix(PencilLabError):
 
 
 class InvalidStructure(PencilLabError):
-    """A block-structure description fails its shape arithmetic."""
+    """A block-structure description fails its shape arithmetic or an operation's scope.
+
+    Raised also for a structure that an operation covers only when
+    feasible, such as a multiplier for one that violates the commuting
+    feasibility inequalities.
+    """
 
 
 class DecompositionError(PencilLabError):
@@ -55,10 +60,6 @@ class NotSingular(PencilLabError):
 
 class TransformUnavailable(PencilLabError):
     """No numerically trustworthy transforms or constructive certificate could be produced."""
-
-
-class EqualityConditionFails(PencilLabError):
-    """The pencil's block multiplicities are not in the equality case."""
 
 
 class OracleDisagreement(PencilLabError):

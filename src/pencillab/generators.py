@@ -21,7 +21,6 @@ def random_structure(
     max_size: int = 12,
     square: bool = False,
     ensure_singular: bool = False,
-    singular_only: bool = False,
 ) -> KroneckerStructure:
     """Random Kronecker structure with max(rows, cols) <= max_size.
 
@@ -58,11 +57,9 @@ def random_structure(
     eig_load: dict[complex, int] = {}
     for _ in range(int(rng.integers(1, 7))):
         kind = rng.choice(
-            ["pair", "jordan", "nilpotent"] if (square or singular_only) else
+            ["pair", "jordan", "nilpotent"] if square else
             ["L", "L_transpose", "pair", "jordan", "nilpotent"]
         )
-        if singular_only and kind in ("jordan", "nilpotent"):
-            kind = "pair"
         if kind == "L":
             e = int(rng.integers(0, 4))
             if fits(e, e + 1):
@@ -107,15 +104,11 @@ def random_structure(
 def random_singular_pencil(
     rng: np.random.Generator,
     max_size: int = 12,
-    max_cond: float = 100.0,
-    singular_only: bool = False,
 ) -> tuple[Pencil, KroneckerStructure]:
     """Scrambled square singular pencil together with its generating structure."""
-    structure = random_structure(
-        rng, max_size=max_size, square=True, ensure_singular=True, singular_only=singular_only
-    )
+    structure = random_structure(rng, max_size=max_size, square=True, ensure_singular=True)
     seed = int(rng.integers(0, 2**63 - 1))
-    pencil, _ = scramble(assemble(structure), seed, max_cond=max_cond)
+    pencil, _ = scramble(assemble(structure), seed, max_cond=100.0)
     return pencil, structure
 
 
@@ -155,8 +148,10 @@ def random_commuting_pair(
     (nilpotent base and zero constant terms, so the pair shares a kernel),
     "blockdiag" (conjugated direct sums of polynomial pairs), "zero-block"
     (a common zero block conjugated away, giving minimal-index structure),
-    "structured" (an equality-case multiplier applied to a scrambled
-    canonical singular pencil).  Default draws uniformly from ``kinds``.
+    "structured" (the multiplier of
+    :func:`~pencillab.commuting.construct_multiplier` applied to a
+    scrambled canonical singular pencil of a feasible structure).  Default
+    draws uniformly from ``kinds``.
     """
     if kind is None:
         kind = kinds[int(rng.integers(0, len(kinds)))]

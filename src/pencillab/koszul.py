@@ -54,26 +54,36 @@ def check_commuting(a, b) -> bool:
 
 
 def _require_commuting(a, b):
-    """A and B validated as square matrices of one size that commute, and (|A|_F, |B|_F)."""
+    """A and B validated as square matrices of one size that commute, with their sizes.
+
+    Returns A, B, (|A|_F, |B|_F) and the relative commutator residual
+    |AB - BA|_F / (|A|_F |B|_F), which is 0 when AB = BA exactly.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
     norms = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if not float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * (norms[0] * norms[1]):
+    commutator = float(np.linalg.norm(a @ b - b @ a))
+    if not commutator <= COMMUTE_REL_TOL * (norms[0] * norms[1]):
         raise NotCommuting("matrices do not commute within tolerance")
-    return a, b, norms
+    return a, b, norms, commutator / (norms[0] * norms[1]) if commutator else 0.0
 
 
 @dataclass(frozen=True)
 class KoszulAssessment:
-    """Exactness measurements of the shifted Koszul complex at one point."""
+    """Exactness measurements of the shifted Koszul complex at one point.
+
+    ``commutator_residual`` is |AB - BA|_F / (|A|_F |B|_F), the relative
+    size of the composite d2 d1, which is zero for an exactly commuting pair.
+    """
 
     point: tuple[complex, complex]
     rank_d1: int
     rank_d2: int
     dim: int
     exact: bool
+    commutator_residual: float
 
 
 def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL) -> KoszulAssessment:
@@ -83,7 +93,7 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
     like d1 with d2's singular values, fill one stack for one values-only
     SVD; each rank counts singular values above the cutoff anchored at 1.
     """
-    a, b, norms = _require_commuting(a, b)
+    a, b, norms, residual = _require_commuting(a, b)
     n = a.shape[0]
     stack = np.empty((2, 2 * n, n), dtype=complex)
     _shifted_stack(a, b, norms, [(z1, z2)], stack[:1])
@@ -95,6 +105,7 @@ def koszul_at(a, b, z1: complex, z2: complex, tol: ToleranceConfig = DEFAULT_TOL
         rank_d2=rank_d2,
         dim=n,
         exact=(rank_d1 == n and rank_d2 == n),
+        commutator_residual=residual,
     )
 
 
@@ -133,13 +144,16 @@ def _shifted_stack(a, b, norms, points, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
+def _joint_spectrum(a, b, bases, residual: float,
+                    tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
     """Joint points from subspaces span U, each invariant under A and B, and their bases.
 
     Each cluster of U* B U (on B's own scale, as :func:`eigenvalues` takes
     it) has an invariant subspace span W, and on Q = U W both A and B have
     one eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
-    m = width of Q (W = I_1 for a one-column U).  Its witness is a common
+    m = width of Q (W = I_1 for a one-column U).  The discs of those
+    clusters take the pair's relative commutator ``residual`` as backward
+    error (:func:`invariant_subspaces`).  Its witness is a common
     eigenvector, whose rank test is the Koszul non-exactness check, from one
     SVD of every point's :func:`_shifted_stack`, built in one broadcast; the
     first point without one raises :class:`OracleDisagreement`.  Returns the
@@ -153,7 +167,7 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, 
     found = []
     for u in bases:
         for w in ((np.eye(1),) if u.shape[1] == 1
-                  else invariant_subspaces(u.conj().T @ (b / b_scale) @ u)[1]):
+                  else invariant_subspaces(u.conj().T @ (b / b_scale) @ u, None, residual)[1]):
             q = u @ w
             m = q.shape[1]
             found.append((complex(np.trace(q.conj().T @ a @ q)) / m,
@@ -177,9 +191,14 @@ def _joint_spectrum(a, b, bases, tol: ToleranceConfig) -> tuple[TaylorSpectrum, 
     return spectrum, [q for *_, q in found]
 
 
-def _schur_joint_spectrum(a, b, tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
-    """:func:`_joint_spectrum` on the Schur subspaces of A's eigenvalue clusters."""
-    return _joint_spectrum(a, b, invariant_subspaces(a)[1], tol)
+def _schur_joint_spectrum(a, b, residual: float,
+                          tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
+    """:func:`_joint_spectrum` on the Schur subspaces of A's eigenvalue clusters.
+
+    ``residual`` is the pair's relative commutator residual, which the
+    discs of A's clusters and of B's restrictions take as backward error.
+    """
+    return _joint_spectrum(a, b, invariant_subspaces(a, None, residual)[1], residual, tol)
 
 
 def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
@@ -187,10 +206,15 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
 
     Follows the simultaneous triangularization: the invariant subspace of
     each eigenvalue cluster of A is invariant under B too, and splits
-    along the clusters of B restricted to it into the joint points.
+    along the clusters of B restricted to it into the joint points.  The
+    pair commutes only to its relative residual |AB - BA|_F / (|A|_F |B|_F),
+    a backward error already in the input, so every eigenvalue disc on the
+    way is at least that residual times the norm of its matrix: a
+    nilpotent ring that the error spreads wider than rounding stays one
+    cluster.
     """
-    a, b, _ = _require_commuting(a, b)
-    return _schur_joint_spectrum(a, b, tol)[0]
+    a, b, _, residual = _require_commuting(a, b)
+    return _schur_joint_spectrum(a, b, residual, tol)[0]
 
 
 def spectra_match(points1, points2) -> tuple[bool, list]:
@@ -254,11 +278,11 @@ def spectrum_invertible_characterization(
     place of the Schur form of A keeps this independent of
     :func:`taylor_spectrum`.  Only valid for invertible A and B.
     """
-    a, b, _ = _require_commuting(a, b)
+    a, b, _, residual = _require_commuting(a, b)
     n = a.shape[0]
     if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
         raise NotInvertible("both coefficients must be invertible for the ratio form")
-    return _joint_spectrum(a, b, invariant_subspaces(a, -b)[1], tol)[0]
+    return _joint_spectrum(a, b, invariant_subspaces(a, -b, residual)[1], residual, tol)[0]
 
 
 def commuting_structure(
@@ -284,8 +308,8 @@ def commuting_structure(
     structure.  Returns the structure and the Taylor spectrum of the same
     pass.
     """
-    a, b, _ = _require_commuting(a, b)
-    spectrum, bases = _schur_joint_spectrum(a, b, tol)
+    a, b, _, residual = _require_commuting(a, b)
+    spectrum, bases = _schur_joint_spectrum(a, b, residual, tol)
     return _commuting_structure(a, b, spectrum, bases, tol), spectrum
 
 
@@ -409,7 +433,7 @@ def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
         certificate = numrange._singular_certificate(p, tol, singularity.kernel)
     elif membership.certificate is None or not membership.certificate.is_valid(a, b):
         if check_commuting(a, a.conj().T) and check_commuting(b, b.conj().T):
-            spectrum, bases = joint or _schur_joint_spectrum(a, b, tol)
+            spectrum, bases = joint or _schur_joint_spectrum(a, b, koszul.commutator_residual, tol)
             certificate = numrange._joint_eigenvector_certificate(a, b, spectrum.points, bases)
         if certificate is None:
             certificate = numrange.isotropic_search(a, b, tol)
@@ -488,7 +512,7 @@ def commuting_analysis(
     except NotCommuting:
         return None
     a, b = as_matrix(a), as_matrix(b)
-    spectrum, bases = _schur_joint_spectrum(a, b, tol)
+    spectrum, bases = _schur_joint_spectrum(a, b, koszul.commutator_residual, tol)
     conditions = _condition_matrix(a, b, koszul, (spectrum, bases), tol)
     structure = _commuting_structure(a, b, spectrum, bases, tol)
     if bool(structure.col_minimal or structure.row_minimal) != conditions.pencil_singular:

@@ -155,16 +155,6 @@ def null_space(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.ascontiguousarray(v[:, r:])
 
 
-def determinant(m) -> complex:
-    """LU-based determinant."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(m))
-
-
 def eigenvalues(a, b=None) -> SpectrumList:
     """Eigenvalues of the matrix A, or of the pencil A + lam B, clustered.
 
@@ -177,7 +167,8 @@ def eigenvalues(a, b=None) -> SpectrumList:
     return disc_clusters(*eigenvalue_discs(a, b), scale=scale)
 
 
-def invariant_subspaces(a, b=None) -> tuple[SpectrumList, tuple[np.ndarray, ...]]:
+def invariant_subspaces(a, b=None,
+                        residual: float = 0.0) -> tuple[SpectrumList, tuple[np.ndarray, ...]]:
     """The clusters of :func:`eigenvalues` with an orthonormal basis of each one's subspace.
 
     One complex Schur form of a matrix, or one QZ form of a pencil, is
@@ -188,10 +179,14 @@ def invariant_subspaces(a, b=None) -> tuple[SpectrumList, tuple[np.ndarray, ...]
     does not lead with exactly the cluster, raises
     :class:`RankDecisionUnstable`.  A single finite cluster of all n
     eigenvalues spans the whole space and takes the identity as its basis,
-    with no Schur form.  Clusters at infinity have no basis.
+    with no Schur form.  Clusters at infinity have no basis.  ``residual``
+    is a relative backward error already made in forming the input; the
+    discs take it times the norm of the (balanced) matrix or pencil as the
+    ``error`` of :func:`eigenvalue_discs`.
     """
     a, b, scale = _balanced(a, b)
-    alpha, beta, radius = eigenvalue_discs(a, b)
+    norm = math.hypot(np.linalg.norm(a), 0.0 if b is None else np.linalg.norm(b))
+    alpha, beta, radius = eigenvalue_discs(a, b, residual * norm)
     spectrum, labels, roots = _clusters(alpha, beta, radius, scale)
     if not len(roots):
         return spectrum, ()

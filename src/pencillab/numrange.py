@@ -31,7 +31,6 @@ from scipy.optimize import least_squares, nnls
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotSingular, TransformUnavailable
-from .koszul import COMMUTE_REL_TOL
 from .kronecker import PolynomialKernel, _kernel_walk, _least_kernel, _sweep_verdict
 from .linalg import deficient_at_every_node, node_stack
 from .pencil import Pencil, as_matrix
@@ -49,22 +48,6 @@ SEARCH_TARGET_REL = 1e-11
 # converge; the cap stops starts that do not, and bounds a search that finds nothing.
 SEARCH_MAX_EVALUATIONS = 20
 ISOTROPIC_SEARCH_RESTARTS = 400  # on a regular pair whose hull does not exclude the origin
-
-
-def jnr_sample(a, b, count: int, seed: int) -> list[tuple[complex, complex]]:
-    """Joint numerical range samples from seeded random unit vectors."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
-    rng = np.random.default_rng(seed)
-    n = a.shape[0]
-    out = []
-    for _ in range(count):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z /= np.linalg.norm(z)
-        out.append((complex(z.conj() @ a @ z), complex(z.conj() @ b @ z)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +461,3 @@ def nr_contains(p: Pencil, lam0: complex) -> bool:
         raise ValueError(f"numerical range needs a square pencil, got {p.shape}")
     m = p.at(complex(lam0))
     return conv_hull_membership(m, np.zeros_like(m)).verdict == "inside"
-
-
-def is_doubly_commuting(a, b) -> bool:
-    """AB = BA and A*B = BA*, each up to ``koszul.COMMUTE_REL_TOL`` relative to |A| |B|."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    return (
-        float(np.linalg.norm(a @ b - b @ a)) <= COMMUTE_REL_TOL * scale
-        and float(np.linalg.norm(a.conj().T @ b - b @ a.conj().T)) <= COMMUTE_REL_TOL * scale
-    )

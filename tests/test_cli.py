@@ -79,9 +79,24 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["singular"]["verdict"] is True
         assert report["coefficients_commute"] is False
+        assert report["commutator_residual"] is None
         assert "condition_matrix" not in report
         assert report["kronecker"]["row_minimal"] == [[0, 1], [1, 1]]
         assert report["kronecker"]["col_minimal"] == [[0, 1], [1, 1]]
+
+    def test_split_nilpotent_pair_is_one_joint_point(self, fixtures_dir, tmp_path, capsys):
+        # the pair commutes to 1.6e-13 relative, far above rounding; discs that
+        # take that residual keep its 7-fold nilpotent ring one point
+        pairs = json.loads((fixtures_dir / "split_nilpotent" / "pairs.json").read_text())
+        entry = next(e for e in pairs if e["seed"] == 831 and e["scale"] == 1e-3)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"a": entry["a"], "b": entry["b"]}), encoding="utf-8")
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["coefficients_commute"] is True
+        assert 1e-14 < report["commutator_residual"] <= 1e-10
+        assert [point["multiplicity"] for point in report["taylor_spectrum"]] == [7]
 
     def test_malformed_json_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -12,27 +12,6 @@ from pencillab.numrange import BOUNDARY_TOL
 from conftest import complex_matrix
 
 
-class TestJnrSample:
-    def test_identity_pair(self):
-        points = pl.jnr_sample(np.eye(2), np.eye(2), 10, seed=1)
-        for z1, z2 in points:
-            assert abs(z1 - 1.0) < 1e-12 and abs(z2 - 1.0) < 1e-12
-
-    def test_proportional_pair(self):
-        a = np.diag([1.0, -1.0])
-        points = pl.jnr_sample(a, 2.0 * a, 25, seed=2)
-        for z1, z2 in points:
-            assert abs(z2 - 2.0 * z1) < 1e-12
-
-    def test_empty(self):
-        assert pl.jnr_sample(np.eye(2), np.eye(2), 0, seed=3) == []
-
-    def test_deterministic(self):
-        p1 = pl.jnr_sample(np.eye(3), np.ones((3, 3)), 5, seed=9)
-        p2 = pl.jnr_sample(np.eye(3), np.ones((3, 3)), 5, seed=9)
-        assert p1 == p2
-
-
 class TestIsotropicSearch:
     def test_fixture_high_accuracy(self):
         a, b = np.diag([1.0, -1.0]), np.diag([2.0, -2.0])
@@ -376,7 +355,9 @@ class TestConvHull:
         res = pl.conv_hull_membership(a, b)
         if res.verdict == "outside":
             u = res.certificate.direction
-            for z1, z2 in pl.jnr_sample(a, b, 200, seed=4):
+            z = complex_matrix(np.random.default_rng(4), 200, 3)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            for z1, z2 in zip(np.sum(z.conj() * (z @ a.T), 1), np.sum(z.conj() * (z @ b.T), 1)):
                 value = u[0] * z1.real + u[1] * z1.imag + u[2] * z2.real + u[3] * z2.imag
                 assert value >= res.certificate.margin - 1e-8
 
@@ -467,17 +448,6 @@ def _boundary_corpus(rng, count):
 
 
 class TestDoublyCommuting:
-    def test_normal_pair_detected(self, rng):
-        a, b = random_doubly_commuting_pair(rng, 4)
-        assert pl.is_doubly_commuting(a, b)
-
-    def test_plain_commuting_not_necessarily(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        a = m
-        b = m @ m + m  # commutes with m but not with m*
-        assert pl.check_commuting(a, b)
-        assert not pl.is_doubly_commuting(a, np.eye(2) + a)
-
     def test_convexity_equivalence(self, rng, tol):
         # doubly commuting pairs: the joint range is the hull of the joint
         # eigenvalues, so an LP over them decides the verdict; an inside
@@ -490,7 +460,7 @@ class TestDoublyCommuting:
                 z /= np.linalg.norm(z)
                 a = a - (z.conj() @ a @ z) * np.eye(3)
                 b = b - (z.conj() @ b @ z) * np.eye(3)
-            assert pl.is_doubly_commuting(a, b)
+            assert pl.check_commuting(a, b) and pl.check_commuting(a.conj().T, b)
             # a normal matrix with distinct eigenvalues has a unitary Schur basis
             _, q = schur(a + np.pi * b, output="complex")
             joint = (np.diag(q.conj().T @ a @ q), np.diag(q.conj().T @ b @ q))

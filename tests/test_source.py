@@ -62,3 +62,17 @@ def test_no_module_reads_the_environment():
                     and readers & {alias.name for alias in node.names}):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_isotropic_search_draws_from_the_seed():
+    # the isotropic search is the one randomized step; cli sets, reports and
+    # replays the seed, and ToleranceConfig validates it.  Any other reader
+    # would let a seed decide a verdict or a construction.
+    readers = set()
+    for path in sorted((REPO / "src" / "pencillab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "rng_seed"
+                   for node in ast.walk(top)):
+                readers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert {r for r in readers if not r.startswith("cli.")} == {
+        "config.ToleranceConfig", "numrange.isotropic_search"}
