@@ -9,7 +9,6 @@ from .errors import (
     InvalidMatrix,
     InvalidStructure,
     NotCommuting,
-    NotInvertible,
     NotSingular,
     OracleDisagreement,
     PencilLabError,

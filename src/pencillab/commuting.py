@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidStructure, TransformUnavailable
+from .koszul import _require_commuting
 from .kronecker import KroneckerStructure, canonical_transforms, staircase_structure
 from .linalg import null_space, numerical_rank
 from .pencil import Pencil
@@ -225,8 +226,6 @@ def verify_necessity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     Returns the assertion outcome; False signals a numerical or logic
     failure, never a counterexample.
     """
-    from .koszul import _require_commuting
-
     a, b, *_ = _require_commuting(a, b)
     structure = staircase_structure(Pencil(a, b), tol)
     ok, _ = commuting_feasible(structure)

@@ -50,10 +50,6 @@ class NotCommuting(PencilLabError):
     """Operation requires a commuting pair of matrices."""
 
 
-class NotInvertible(PencilLabError):
-    """Operation requires invertible coefficient matrices."""
-
-
 class NotSingular(PencilLabError):
     """Operation requires a singular pencil."""
 

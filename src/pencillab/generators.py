@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .commuting import construct_multiplier
 from .kronecker import KroneckerStructure, assemble, scramble
 from .pencil import Pencil
 
@@ -202,8 +203,6 @@ def random_commuting_pair(
         q, _ = np.linalg.qr(q)
         return q @ a @ q.conj().T, q @ b @ q.conj().T
     if kind == "structured":
-        from .commuting import construct_multiplier
-
         options = (
             (((0, 1), (1, 1)), ((0, 1), (1, 1))),
             (((0, 2), (1, 2)), ((0, 2), (1, 2))),

@@ -2,7 +2,8 @@
 
 Matrix format: ``{"rows": r, "cols": c, "entries": [[re, im], ...]}`` in
 row-major order; parsers reject NaN/Inf and shape mismatches with
-position-precise messages.
+position-precise messages, and a pencil whose coefficient has a Frobenius
+norm beyond double precision.
 """
 
 from __future__ import annotations
@@ -77,7 +78,12 @@ def pencil_from_json(obj, where: str = "pencil") -> Pencil:
     b = matrix_from_json(obj["b"], f"{where}.b")
     if a.shape != b.shape:
         raise ParseError(f"{where}: coefficient shapes differ: {a.shape} vs {b.shape}")
-    return Pencil(a, b)
+    pencil = Pencil(a, b)
+    with np.errstate(over="ignore"):
+        for name, norm in zip("ab", pencil.norms):
+            if not math.isfinite(norm):
+                raise ParseError(f"{where}.{name}: the Frobenius norm overflows double precision")
+    return pencil
 
 
 def pencil_to_json(p: Pencil) -> dict:

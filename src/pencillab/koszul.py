@@ -6,7 +6,8 @@ the stacked map h -> (T1 h, T2 h) is injective and the flattened map
 vanishes automatically because the composite is zero.  The spectrum comes
 from invariant subspaces, as in the simultaneous triangularization of a
 commuting pair, checked by shifted-pencil singularity and a determinant
-identity, or by the deflating subspaces of A - rho B for invertible pairs.
+identity, or by the deflating subspaces of the ratio pencil of the pair
+shifted past its spectral radius.
 Each decision is one batched SVD of one :func:`_shifted_stack`, built in
 one broadcast: of both Koszul differentials at a point, or of the shifted
 pairs of every joint point for their witnesses; ranks count singular
@@ -30,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numrange
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import ImplicationViolated, NotCommuting, NotInvertible, OracleDisagreement
+from .errors import ImplicationViolated, NotCommuting, OracleDisagreement
 from .kronecker import KroneckerStructure, SingularityEvidence, is_singular, staircase_structure
-from .linalg import (RANK_GUARD, TINY, invariant_subspaces, node_stack, numerical_rank,
-                     rank_count, rank_decision, singular_values)
+from .linalg import (RANK_GUARD, TINY, _power_of_two, invariant_subspaces, node_stack, rank_count,
+                     rank_decision, singular_values)
 from .pencil import Pencil, as_matrix
 
 COMMUTE_REL_TOL = 1e-10
@@ -57,17 +59,19 @@ def _require_commuting(a, b):
     """A and B validated as square matrices of one size that commute, with their sizes.
 
     Returns A, B, (|A|_F, |B|_F) and the relative commutator residual
-    |AB - BA|_F / (|A|_F |B|_F), which is 0 when AB = BA exactly.
+    |AB - BA|_F / (|A|_F |B|_F), formed from B / |B|_F so that it cannot
+    overflow, and 0 when AB = BA exactly.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"need square matrices of equal size, got {a.shape} and {b.shape}")
     norms = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    commutator = float(np.linalg.norm(a @ b - b @ a))
-    if not commutator <= COMMUTE_REL_TOL * (norms[0] * norms[1]):
+    unit_b = b / (norms[1] or 1.0)
+    residual = float(np.linalg.norm(a @ unit_b - unit_b @ a)) / (norms[0] or 1.0)
+    if not residual <= COMMUTE_REL_TOL:
         raise NotCommuting("matrices do not commute within tolerance")
-    return a, b, norms, commutator / (norms[0] * norms[1]) if commutator else 0.0
+    return a, b, norms, residual
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,9 @@ def _joint_spectrum(a, b, bases, residual: float,
                     tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
     """Joint points from subspaces span U, each invariant under A and B, and their bases.
 
-    Each cluster of U* B U (on B's own scale, as :func:`eigenvalues` takes
-    it) has an invariant subspace span W, and on Q = U W both A and B have
-    one eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
+    Each cluster of U* B U, with B scaled by a power of two to |B|_F ~ sqrt(n),
+    has an invariant subspace span W, and on Q = U W both A and B have one
+    eigenvalue: the point (tr(Q* A Q), tr(Q* B Q)) / m, of multiplicity
     m = width of Q (W = I_1 for a one-column U).  The discs of those
     clusters take the pair's relative commutator ``residual`` as backward
     error (:func:`invariant_subspaces`).  Its witness is a common
@@ -163,7 +167,7 @@ def _joint_spectrum(a, b, bases, residual: float,
     if not n:
         return TaylorSpectrum((), (), (), ()), []
     norms = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    b_scale = max(1.0, norms[1] / np.sqrt(n))
+    b_scale = _power_of_two(norms[1] / np.sqrt(n))
     found = []
     for u in bases:
         for w in ((np.eye(1),) if u.shape[1] == 1
@@ -195,10 +199,12 @@ def _schur_joint_spectrum(a, b, residual: float,
                           tol: ToleranceConfig) -> tuple[TaylorSpectrum, list]:
     """:func:`_joint_spectrum` on the Schur subspaces of A's eigenvalue clusters.
 
+    A is clustered scaled up or down by a power of two to |A|_F ~ sqrt(n).
     ``residual`` is the pair's relative commutator residual, which the
     discs of A's clusters and of B's restrictions take as backward error.
     """
-    return _joint_spectrum(a, b, invariant_subspaces(a, None, residual)[1], residual, tol)
+    a_scale = _power_of_two(float(np.linalg.norm(a)) / np.sqrt(max(a.shape[0], 1)))
+    return _joint_spectrum(a, b, invariant_subspaces(a / a_scale, None, residual)[1], residual, tol)
 
 
 def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
@@ -211,7 +217,9 @@ def taylor_spectrum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> TaylorSpectrum:
     a backward error already in the input, so every eigenvalue disc on the
     way is at least that residual times the norm of its matrix: a
     nilpotent ring that the error spreads wider than rounding stays one
-    cluster.
+    cluster.  Each clustering scales its matrix by a power of two to
+    Frobenius norm ~ sqrt(n), so the points of (2^k A, 2^k B) are exactly
+    2^k times those of (A, B) while no entry underflows or overflows.
     """
     a, b, _, residual = _require_commuting(a, b)
     return _schur_joint_spectrum(a, b, residual, tol)[0]
@@ -270,19 +278,21 @@ def spectrum_via_singularity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Taylor
 def spectrum_invertible_characterization(
     a, b, tol: ToleranceConfig = DEFAULT_TOL
 ) -> TaylorSpectrum:
-    """Spectrum of an invertible commuting pair by eigenvalue ratios.
+    """Spectrum of a commuting pair by eigenvalue ratios of the shifted pair.
 
-    Each joint eigenvalue is (rho z2, z2) for a cluster rho of the pencil
-    A - rho B and a cluster z2 of K* B K, where span K is the right
-    deflating subspace of rho, invariant under A and B.  QZ on A - rho B in
-    place of the Schur form of A keeps this independent of
-    :func:`taylor_spectrum`.  Only valid for invertible A and B.
+    sigma(A - s1 I, B - s2 I) = sigma(A, B) - (s1, s2) (Taylor 1970), and
+    s_M = 2 |M|_F (1 for M = 0) exceeds M's spectral radius, so both shifted
+    coefficients are invertible.  The right deflating subspace of each
+    cluster rho of (A - s1 I) - rho (B - s2 I) is invariant under A and B,
+    and :func:`_joint_spectrum` reads its points off the unshifted pair.
+    QZ in place of the Schur form of A keeps this independent of
+    :func:`taylor_spectrum`.
     """
-    a, b, _, residual = _require_commuting(a, b)
-    n = a.shape[0]
-    if numerical_rank(a, tol) < n or numerical_rank(b, tol) < n:
-        raise NotInvertible("both coefficients must be invertible for the ratio form")
-    return _joint_spectrum(a, b, invariant_subspaces(a, -b, residual)[1], residual, tol)[0]
+    a, b, norms, residual = _require_commuting(a, b)
+    eye = np.eye(a.shape[0])
+    s1, s2 = (2.0 * norm or 1.0 for norm in norms)
+    bases = invariant_subspaces(a - s1 * eye, s2 * eye - b, residual)[1]
+    return _joint_spectrum(a, b, bases, residual, tol)[0]
 
 
 def commuting_structure(
@@ -419,8 +429,6 @@ def _condition_matrix(a, b, koszul: KoszulAssessment, joint,
     (spectrum, bases) from :func:`_schur_joint_spectrum`, or None when
     the caller has not computed them.
     """
-    from . import numrange
-
     p = Pencil(a, b)
     cond0 = not koszul.exact
     singularity = is_singular(p, tol)
@@ -480,8 +488,6 @@ def _require_hull_agreement(a, b, certificate, membership) -> None:
     each residual of the vector, over its coefficient's norm, within 4 tau
     more.  A vector that misses by less is left invalid, with (ii) false.
     """
-    from . import numrange
-
     miss = (np.array([certificate.residual_a, certificate.residual_b])
             / numrange._coefficient_norms(a, b)[::2])
     allowed = numrange.INSIDE_SLACK * membership.scale + 10.0 * numrange.JOINT_BASIS_REL_TOL

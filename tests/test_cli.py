@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from pencillab import Pencil
 from pencillab.cli import main
-from pencillab.io import load_pencil
+from pencillab.io import load_pencil, pencil_to_json
 
 from conftest import REPO
 
@@ -215,6 +216,25 @@ class TestAnalyze:
         kronecker = json.loads(out)["kronecker"]
         assert sorted(lam[0] for _, lam in kronecker["jordan"]) == pytest.approx([1e-9, 1.0])
         assert kronecker["col_minimal"] == kronecker["nilpotent"] == []
+
+    @pytest.mark.parametrize("scale, code", [(1e-14, 0), (1e140, 0), (1e153, 0), (1e154, 1)])
+    def test_scaled_triangular_pair(self, tmp_path, capsys, scale, code):
+        # the analysis of c (A, B) is that of (A, B) until |(A, B)|_F overflows,
+        # which is an input error
+        path = tmp_path / "scaled.json"
+        a, b = np.array([[1.0, 1.0], [0.0, 2.0]]), np.array([[3.0, 2.0], [0.0, 5.0]])
+        path.write_text(json.dumps(pencil_to_json(Pencil(scale * a, scale * b))),
+                        encoding="utf-8")
+        got, out, err = run_cli(["analyze", str(path)], capsys)
+        assert got == code, err
+        if code:
+            assert err.startswith("error: ") and "Frobenius norm overflows" in err
+            return
+        report = json.loads(out)
+        assert report["coefficients_commute"] is True
+        points = sorted((p["z1"][0] / scale, p["z2"][0] / scale)
+                        for p in report["taylor_spectrum"])
+        np.testing.assert_allclose(points, [(1.0, 3.0), (2.0, 5.0)], rtol=1e-12)
 
     def test_empty_pencil(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -57,6 +57,12 @@ class TestPencilJson:
         with pytest.raises(plio.ParseError, match="shapes differ"):
             plio.pencil_from_json(doc)
 
+    def test_overflowing_frobenius_norm(self):
+        # every entry is finite, but |B|_F is not
+        doc = plio.pencil_to_json(pl.Pencil(np.eye(2), np.full((2, 2), 1e154)))
+        with pytest.raises(plio.ParseError, match=r"pencil\.b: the Frobenius norm overflows"):
+            plio.pencil_from_json(doc)
+
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"a": [}', encoding="utf-8")

@@ -76,3 +76,37 @@ def test_only_the_isotropic_search_draws_from_the_seed():
                 readers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert {r for r in readers if not r.startswith("cli.")} == {
         "config.ToleranceConfig", "numrange.isotropic_search"}
+
+
+def _relative_imports(node):
+    """The package modules that ``from .M import ...`` or ``from . import M`` names, else []."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    return [node.module] if node.module else [alias.name for alias in node.names]
+
+
+def test_function_local_imports_only_break_cycles():
+    # a function-local import of M in N is there only because M imports N at
+    # module level, directly or through other modules of the package
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (REPO / "src" / "pencillab").glob("*.py")}
+    imports = {name: {m for stmt in tree.body for m in _relative_imports(stmt)}
+               for name, tree in trees.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(imports.get(name, ()))
+        return False
+
+    needless = {f"{name}.py:{node.lineno}"
+                for name, tree in trees.items()
+                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                for module in _relative_imports(node) if not reaches(module, name)}
+    assert sorted(needless) == []
