@@ -24,7 +24,8 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidStructure, TransformUnavailable
 from .koszul import _require_commuting
-from .kronecker import KroneckerStructure, canonical_transforms, staircase_structure
+from .kronecker import (KroneckerStructure, _singular_part, canonical_transforms,
+                        staircase_structure)
 from .linalg import null_space, numerical_rank
 from .pencil import Pencil
 
@@ -223,13 +224,15 @@ def commuting_feasible(structure: KroneckerStructure) -> tuple[bool, list[dict]]
 def verify_necessity(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Commuting coefficients must land on a feasible Kronecker structure.
 
-    Returns the assertion outcome; False signals a numerical or logic
+    The inequalities of :func:`commuting_feasible` read only the minimal
+    indices, which the compressions of ``kronecker._singular_part`` decide;
+    the regular stage of the staircase, which decides Jordan sizes, never
+    runs.  Returns the assertion outcome; False signals a numerical or logic
     failure, never a counterexample.
     """
     a, b, *_ = _require_commuting(a, b)
-    structure = staircase_structure(Pencil(a, b), tol)
-    ok, _ = commuting_feasible(structure)
-    return ok
+    col_minimal, row_minimal, *_ = _singular_part(Pencil(a, b), tol)
+    return commuting_feasible(KroneckerStructure(col_minimal, row_minimal))[0]
 
 
 def is_equality_case(s: KroneckerStructure) -> bool:

@@ -131,9 +131,11 @@ def _random_polynomial_pair(rng: np.random.Generator, m: np.ndarray) -> tuple[np
 DEFAULT_COMMUTING_KINDS = ("poly", "poly-singular", "blockdiag", "zero-block")
 
 # Generators whose pencils keep a numerically recoverable Kronecker
-# structure: poly-singular pairs concentrate the whole regular part on one
-# highly defective eigenvalue, which no double-precision staircase can
-# resolve, so structure-recovery campaigns use this mix instead.
+# structure.  poly-singular pairs concentrate the whole regular part on one
+# highly defective eigenvalue, which the staircase cannot always resolve: on
+# draws from default_rng(3) it resolved 295 of 300 at n <= 10 (three raised
+# in the column compressions, two in the chain stage), 61 of 100 at n <= 24
+# and 16 of 40 at n <= 40.  Structure-recovery campaigns use this mix instead.
 STAIRCASE_SAFE_KINDS = ("poly", "blockdiag", "zero-block", "structured")
 
 

@@ -467,27 +467,17 @@ def _chain_sizes(
     return [j + 1 for j, c in enumerate(counts_ge[:-1]) for _ in range(c - counts_ge[j + 1])]
 
 
-def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerStructure:
-    """Kronecker invariants of a pencil (structure only, no transforms).
+def _singular_part(p: Pencil, tol: ToleranceConfig):
+    """Minimal indices and chains at infinity of a pencil, from its compressions alone.
 
     Column compressions of (B, A) split off the column minimal indices and
     the chains at infinity; the same compressions of the transposed
     remainder split off the row minimal indices (:func:`_compressions`)
     unless it is square, hence regular, as its E has full column rank.
-    What remains must be a square regular block whose B is invertible: one
-    QZ of it (:func:`~pencillab.linalg.eigenvalue_discs`, with discs
-    widened to the compressions' backward error) gives the finite
-    eigenvalue clusters, and :func:`_chain_sizes` at each cluster's mean
-    gives its Jordan sizes.  Chains in the left run, a remainder that is
-    not square, a cluster at infinity or block sizes that do not total the
-    regular block raise :class:`RankDecisionUnstable`.  The pipeline makes
-    no random draw.
-
-    Every stage runs on the balanced pencil A + w (rho B) with
-    rho = |A|_F / |B|_F, whose eigenvalues are w = lam / rho, so rank
-    cutoffs and eigenvalue distances follow the pencil's own scale: the
-    structure of (A, cB) is recovered as that of (A, B) with every finite
-    eigenvalue divided by c.
+    Chains in the left run or a remainder that is not square raise
+    :class:`RankDecisionUnstable`.  Returns (column and row minimal indices,
+    chain sizes at infinity, A and B of the balanced pencil's g x g regular
+    remainder, the compressions' backward error, rho, the norm scale).
     """
     p, rho = p.balanced()
     scale = p.norm_scale()
@@ -501,8 +491,30 @@ def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> Kronec
             f"the row compressions left chains {left_chains} and a {e.shape} remainder, "
             "not a square regular block"
         )
-    a, b = f.T, e.T
-    spectrum = disc_clusters(*eigenvalue_discs(a, b, error=np.hypot(dropped, dropped_left)))
+    return col_minimal, row_minimal, nilpotent, f.T, e.T, np.hypot(dropped, dropped_left), rho, scale
+
+
+def staircase_structure(p: Pencil, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerStructure:
+    """Kronecker invariants of a pencil (structure only, no transforms).
+
+    :func:`_singular_part` decides the minimal indices and the chains at
+    infinity.  Its remainder is regular with B invertible: one QZ of it
+    (:func:`~pencillab.linalg.eigenvalue_discs`, discs widened to the
+    compressions' backward error) gives the finite eigenvalue clusters, and
+    :func:`_chain_sizes` at each cluster's mean decides only their Jordan
+    sizes.  A cluster at infinity or block sizes that do not total the
+    regular block raise :class:`RankDecisionUnstable`.  No stage makes a
+    random draw.
+
+    Every stage runs on the balanced pencil A + w (rho B) with
+    rho = |A|_F / |B|_F, whose eigenvalues are w = lam / rho, so rank
+    cutoffs and eigenvalue distances follow the pencil's own scale: the
+    structure of (A, cB) is recovered as that of (A, B) with every finite
+    eigenvalue divided by c.
+    """
+    col_minimal, row_minimal, nilpotent, a, b, error, rho, scale = _singular_part(p, tol)
+    g = len(a)
+    spectrum = disc_clusters(*eigenvalue_discs(a, b, error=error))
     if spectrum.infinite:
         raise RankDecisionUnstable(f"{spectrum.infinite} eigenvalues of the regular block "
                                    "cluster at infinity")

@@ -6,8 +6,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import pencillab as pl
+from pencillab import kronecker
 from pencillab.commuting import is_equality_case, multiplier_pattern_matrix
-from pencillab.generators import random_commuting_pair
+from pencillab.generators import DEFAULT_COMMUTING_KINDS, random_commuting_pair
 
 from conftest import complex_matrix
 
@@ -283,6 +284,54 @@ class TestVerifyNecessity:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(pl.NotCommuting):
             pl.verify_necessity(a, b)
+
+    def test_agrees_with_the_staircase_without_its_regular_stage(self, monkeypatch, tol):
+        calls = []
+        for name in ("eigenvalue_discs", "_chain_sizes"):
+            def spy(*args, _original=getattr(kronecker, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(kronecker, name, spy)
+        rng = np.random.default_rng(33)
+        compared = staircase_calls = 0
+        for kind in DEFAULT_COMMUTING_KINDS + ("structured",):
+            for _ in range(10):
+                a, b = random_commuting_pair(rng, max_n=10, kind=kind)
+                for x, y in ((a, b), (a, 1e3 * b), (1e-3 * a, b)):
+                    calls.clear()
+                    try:
+                        verdict = pl.verify_necessity(x, y, tol)
+                    except pl.RankDecisionUnstable:
+                        verdict = None
+                    assert not calls, (kind, calls)
+                    try:
+                        s = pl.staircase_structure(pl.Pencil(x, y), tol)
+                    except pl.RankDecisionUnstable:
+                        assert verdict is not False, kind
+                        continue
+                    staircase_calls += len(calls)
+                    assert verdict == pl.commuting_feasible(s)[0], (kind, s)
+                    compared += 1
+        assert compared >= 140 and staircase_calls >= compared
+
+    def test_pinned_pairs_whose_chain_stage_is_unstable(self, tol):
+        # draws 36 and 215 (n = 10 and 9): the full staircase cannot decide
+        # a Jordan size of the regular block, which the inequalities never read
+        rng = np.random.default_rng(3)
+        draws = [random_commuting_pair(rng, max_n=10, kinds=("poly-singular",))
+                 for _ in range(216)]
+        for a, b in (draws[36], draws[215]):
+            with pytest.raises(pl.RankDecisionUnstable, match="chain k=6"):
+                pl.staircase_structure(pl.Pencil(a, b), tol)
+            assert pl.verify_necessity(a, b, tol)
+
+    def test_default_kinds_corpus(self, tol):
+        # 500 draws at max_n 10 from seed 220006, poly-singular pairs
+        # included; the full staircase raises RankDecisionUnstable on one
+        rng = np.random.default_rng(220006)
+        for i in range(500):
+            a, b = random_commuting_pair(rng, max_n=10)
+            assert pl.verify_necessity(a, b, tol), i
 
 
 class TestMultiplier:
